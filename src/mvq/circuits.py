@@ -10,6 +10,7 @@ operations, GF(4) addition, and two structurally different GF(4) multipliers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -313,68 +314,57 @@ class VerifyResult:
     counterexample: str | None = None
 
 
+# the converters' references, in their own port terms
+_CONVERTER_REFS: dict[str, Callable[..., object]] = {
+    "q2b": lambda q: tuple(encode_q2b(q)),
+    "b2q": lambda x1, x2: decode_b2q((x1, x2)),
+}
+
+
+def _port_terms(
+    ports: tuple[tuple[str, SignalType], ...], levels: tuple[int, ...]
+) -> list[tuple[str, int]]:
+    return [(name, lv) for (name, _), lv in zip(ports, levels)]
+
+
+def _quat_terms(
+    ports: tuple[tuple[str, SignalType], ...], levels: tuple[int, ...]
+) -> list[tuple[str, int]]:
+    """Quaternary values of a row: a quaternary port as is, each msb/lsb pair
+    of binary ports (x1, x2) decoded as one value (x)."""
+    terms = []
+    i = 0
+    while i < len(ports):
+        name, sig = ports[i]
+        if sig is _Q:
+            terms.append((name, levels[i]))
+            i += 1
+        else:
+            terms.append((name[:-1], decode_b2q((levels[i], levels[i + 1]))))
+            i += 2
+    return terms
+
+
 def _verify_netlist(info: CircuitInfo, nl: Netlist) -> VerifyResult:
-    if info.shape == "q2b":
-        for q in range(4):
-            out = nl.evaluate({"q": q})
-            want = encode_q2b(q)
-            if (out["x1"], out["x2"]) != want:
-                return VerifyResult(
-                    info.cid, False, 4,
-                    f"q={q}: got ({out['x1']},{out['x2']}), want {tuple(want)}",
-                )
-        return VerifyResult(info.cid, True, 4)
-    if info.shape == "b2q":
-        for x1 in range(2):
-            for x2 in range(2):
-                got = nl.evaluate({"x1": x1, "x2": x2})["q"]
-                want = decode_b2q((x1, x2))
-                if got != want:
-                    return VerifyResult(
-                        info.cid, False, 4,
-                        f"x1={x1} x2={x2}: got {got}, want {want}",
-                    )
-        return VerifyResult(info.cid, True, 4)
-    assert info.op is not None
-    out_names = [name for name, _ in nl.output_ports]
-    if info.shape == "unary":
-        for a in range(4):
-            x = encode_q2b(a)
-            out = nl.evaluate({"x1": x.x1, "x2": x.x2})
-            got = decode_b2q((out[out_names[0]], out[out_names[1]]))
-            want = apply_op(info.op, a)
-            if got != want:
-                return VerifyResult(
-                    info.cid, False, 4, f"x={a}: got {got}, want {want}"
-                )
-        return VerifyResult(info.cid, True, 4)
-    if info.shape == "binary":
-        for a in range(4):
-            for b in range(4):
-                x, y = encode_q2b(a), encode_q2b(b)
-                out = nl.evaluate(
-                    {"x1": x.x1, "x2": x.x2, "y1": y.x1, "y2": y.x2}
-                )
-                got = decode_b2q((out[out_names[0]], out[out_names[1]]))
-                want = apply_op(info.op, a, b)
-                if got != want:
-                    return VerifyResult(
-                        info.cid, False, 16,
-                        f"x={a} y={b}: got {got}, want {want}",
-                    )
-        return VerifyResult(info.cid, True, 16)
-    if info.shape == "quat2":
-        for a in range(4):
-            for b in range(4):
-                got = nl.evaluate({"x": a, "y": b})["q"]
-                want = apply_op(info.op, a, b)
-                if got != want:
-                    return VerifyResult(
-                        info.cid, False, 16,
-                        f"x={a} y={b}: got {got}, want {want}",
-                    )
-        return VerifyResult(info.cid, True, 16)
-    raise ValueError(f"unknown shape {info.shape!r}")
+    """Compare the netlist's truth table with the reference row by row. The
+    converters are read in port terms; the operation circuits in quaternary
+    terms, against apply_op."""
+    if info.op is None:
+        ref, terms = _CONVERTER_REFS[info.cid], _port_terms
+    else:
+        ref, terms = functools.partial(apply_op, info.op), _quat_terms
+    tt = nl.truth_table()
+    for ins, outs in tt.rows:
+        args = terms(tt.inputs, ins)
+        got_terms = [lv for _, lv in terms(tt.outputs, outs)]
+        got = got_terms[0] if len(got_terms) == 1 else tuple(got_terms)
+        want = ref(*(lv for _, lv in args))
+        if got != want:
+            where = " ".join(f"{name}={lv}" for name, lv in args)
+            return VerifyResult(
+                info.cid, False, len(tt.rows), f"{where}: got {got}, want {want}"
+            )
+    return VerifyResult(info.cid, True, len(tt.rows))
 
 
 def verify(cid: str) -> VerifyResult:

@@ -373,7 +373,10 @@ def recognize_xor(e: SopExpr, names: tuple[str, ...] | None = None) -> XorReport
             common_on = all(
                 ch == DC or int(ch) == bit for ch, bit in zip(common, bits)
             )
-            assert (int(common_on) & (u ^ v)) == pair_expr.evaluate(bits)
+            if (int(common_on) & (u ^ v)) != pair_expr.evaluate(bits):
+                raise RuntimeError(
+                    f"factored term for {c1} + {c2} differs at row {i}"
+                )
         xor_text = (
             f"{_render_literal(names[p], pol_p)} ^ "
             f"{_render_literal(names[q], pol_q)}"
@@ -425,6 +428,9 @@ def parse_pla(text: str) -> TruthTableSpec:
                     )
             elif directive == ".ilb":
                 names = tuple(fields[1:])
+                if len(set(names)) != len(names):
+                    dup = next(nm for nm in names if names.count(nm) > 1)
+                    raise ParseError(f"line {lineno}: duplicate .ilb name {dup!r}")
             elif directive == ".ob":
                 pass  # single output; name is cosmetic
             elif directive == ".p":

@@ -4,6 +4,14 @@ Nets carry a fixed signal type (binary or quaternary). Gates are strict
 combinational primitives; evaluation walks a cached topological order, so a
 validated netlist is immutable and safe to evaluate from concurrent contexts.
 Construction (add_gate, connect_output) is single-context only.
+
+`evaluate` is the single-vector reference: one row, one dict of levels.
+Whole tables (`truth_table`, and `sim.run` for any stimulus) go through one
+bit-parallel kernel instead ("parallel pattern" simulation, Waicukauski et
+al. 1985): each net is a pair of Python ints (hi, lo) whose bit r is row r,
+under the natural encoding level = 2*hi + lo (binary nets keep hi = 0), and
+every gate is a few big-int operations over all rows at once. Row i of a
+table equals evaluate() of its inputs but is not computed that way.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 MAX_TABLE_STATES = 2 ** 16
 
@@ -124,6 +132,60 @@ _EVAL = {
 }
 
 
+def _qmux4_planes(p, f, lv):
+    (sh, sl), data = p[0], p[1:]
+    # rows where the select level is 0, 1, 2, 3
+    masks = (f ^ (sh | sl), (f ^ sh) & sl, sh & (f ^ sl), sh & sl)
+    hi = lo = 0
+    for m, (dh, dl) in zip(masks, data):
+        hi |= m & dh
+        lo |= m & dl
+    return hi, lo
+
+
+# kind -> f(input planes, all-rows mask, const level) -> output planes; a net's
+# planes are (hi, lo) with bit r for row r, level = 2*hi + lo
+_PLANES = {
+    GateKind.NOT: lambda p, f, lv: (0, f ^ p[0][1]),
+    GateKind.AND2: lambda p, f, lv: (0, p[0][1] & p[1][1]),
+    GateKind.AND3: lambda p, f, lv: (0, p[0][1] & p[1][1] & p[2][1]),
+    GateKind.AND4: lambda p, f, lv: (0, p[0][1] & p[1][1] & p[2][1] & p[3][1]),
+    GateKind.OR2: lambda p, f, lv: (0, p[0][1] | p[1][1]),
+    GateKind.OR3: lambda p, f, lv: (0, p[0][1] | p[1][1] | p[2][1]),
+    GateKind.OR4: lambda p, f, lv: (0, p[0][1] | p[1][1] | p[2][1] | p[3][1]),
+    GateKind.XOR2: lambda p, f, lv: (0, p[0][1] ^ p[1][1]),
+    GateKind.NAND2: lambda p, f, lv: (0, f ^ (p[0][1] & p[1][1])),
+    GateKind.NOR2: lambda p, f, lv: (0, f ^ (p[0][1] | p[1][1])),
+    GateKind.ANDN2: lambda p, f, lv: (0, (f ^ p[0][1]) & p[1][1]),
+    GateKind.CONST0: lambda p, f, lv: (0, 0),
+    GateKind.CONST1: lambda p, f, lv: (0, f),
+    GateKind.BMUX2: lambda p, f, lv: (
+        0, (p[0][1] & p[1][1]) | ((f ^ p[0][1]) & p[2][1])
+    ),
+    GateKind.DLC1: lambda p, f, lv: (0, f ^ (p[0][0] | p[0][1])),
+    GateKind.DLC2: lambda p, f, lv: (0, f ^ p[0][0]),
+    GateKind.DLC3: lambda p, f, lv: (0, f ^ (p[0][0] & p[0][1])),
+    GateKind.B2Q: lambda p, f, lv: (p[0][1], p[1][1]),
+    GateKind.QCONST: lambda p, f, lv: (f * (lv >> 1), f * (lv & 1)),
+    GateKind.QMUX4: _qmux4_planes,
+}
+
+# byte translations between a level column (one level per byte) and the
+# binary digits of a plane, row 0 first
+_LO_DIGIT = bytes.maketrans(bytes(range(4)), b"0101")
+_HI_DIGIT = bytes.maketrans(bytes(range(4)), b"0011")
+_DIGIT_LO = bytes.maketrans(b"01", bytes((0, 1)))
+_DIGIT_HI = bytes.maketrans(b"01", bytes((0, 2)))
+
+
+def _plane(column: bytes, digit: bytes) -> int:
+    return int(column.translate(digit)[::-1], 2)
+
+
+def _unpack(plane: int, rows: int, digit: bytes) -> bytes:
+    return format(plane, f"0{rows}b")[::-1].encode().translate(digit)
+
+
 class NetlistError(Exception):
     pass
 
@@ -207,6 +269,16 @@ def _check_level(value: int, sig: SignalType, what: str) -> None:
         raise LevelOutOfRange(f"{what}: expected int, got {value!r}")
     if not 0 <= value < sig.levels:
         raise LevelOutOfRange(f"{what}: {value} out of range for {sig.value}")
+
+
+def _check_column(column: Sequence[int], sig: SignalType, what: str) -> None:
+    """_check_level on every entry; one pass of min/max when all are ints."""
+    if set(map(type, column)) <= {int} and (
+        not column or (min(column) >= 0 and max(column) < sig.levels)
+    ):
+        return
+    for value in column:
+        _check_level(value, sig, what)
 
 
 class Netlist:
@@ -383,6 +455,39 @@ class Netlist:
             )
         return {name: values[self._out_net[name]] for name, _ in self._outputs}
 
+    def _eval_columns(self, columns: Sequence[Sequence[int]], rows: int) -> list[bytes]:
+        """Whole-table kernel: one level column of `rows` entries per input
+        port in, one per output port out (bytes, one level per row). Input
+        entries are checked as evaluate() checks its assignment."""
+        self.validate()
+        assert self._topo is not None
+        for (name, sig), col in zip(self._inputs, columns):
+            _check_column(col, sig, f"input {name!r}")
+        if rows == 0:
+            return [b""] * len(self._outputs)
+        full = (1 << rows) - 1
+        planes: dict[int, tuple[int, int]] = {}
+        for (name, sig), col in zip(self._inputs, columns):
+            raw = bytes(col)
+            hi = _plane(raw, _HI_DIGIT) if sig is SignalType.QUAT else 0
+            planes[self._input_net[name]] = (hi, _plane(raw, _LO_DIGIT))
+        for g in self._topo:
+            planes[g.output] = _PLANES[g.kind](
+                [planes[n] for n in g.inputs], full, g.level
+            )
+        out = []
+        for name, sig in self._outputs:
+            hi, lo = planes[self._out_net[name]]
+            col = _unpack(lo, rows, _DIGIT_LO)
+            if sig is SignalType.QUAT:
+                # per-row levels 2*hi + lo; bytes never carry (each is <= 3)
+                both = int.from_bytes(col, "little") + int.from_bytes(
+                    _unpack(hi, rows, _DIGIT_HI), "little"
+                )
+                col = both.to_bytes(rows, "little")
+            out.append(col)
+        return out
+
     def truth_table(self) -> TruthTable:
         self.validate()
         states = 1
@@ -390,12 +495,16 @@ class Netlist:
             states *= sig.levels
         if states > MAX_TABLE_STATES:
             raise StateSpaceTooLarge(f"{states} input states")
-        names = [name for name, _ in self._inputs]
-        rows = []
         # first-declared port is the slowest-varying index
-        for combo in itertools.product(*(range(s.levels) for _, s in self._inputs)):
-            out = self.evaluate(dict(zip(names, combo)))
-            rows.append((combo, tuple(out[name] for name, _ in self._outputs)))
+        columns = []
+        stride = states
+        for _, sig in self._inputs:
+            stride //= sig.levels
+            block = b"".join(bytes((lv,)) * stride for lv in range(sig.levels))
+            columns.append(block * (states // len(block)))
+        outs = self._eval_columns(columns, states)
+        combos = itertools.product(*(range(s.levels) for _, s in self._inputs))
+        rows = zip(combos, zip(*outs) if outs else itertools.repeat(()))
         return TruthTable(self._inputs, self._outputs, tuple(rows))
 
     def metrics(self, costs: Mapping[GateKind, int] | None = None) -> Metrics:
@@ -445,6 +554,13 @@ class Netlist:
         return json.dumps(doc, indent=2)
 
 
+def _json_id(value: object) -> int:
+    # JSON integers only: no strings, floats, booleans or containers
+    if type(value) is not int:
+        raise TypeError(f"id {value!r} is not an integer")
+    return value
+
+
 def from_json(text: str) -> Netlist:
     """Import a netlist document. Gates may appear in any order; input port i
     is net i by convention."""
@@ -457,15 +573,18 @@ def from_json(text: str) -> Netlist:
         outputs = [(p["name"], SignalType(p["type"])) for p in doc["outputs"]]
         gate_rows = [
             (
-                int(g["id"]),
+                _json_id(g["id"]),
                 GateKind(g["kind"]),
-                tuple(int(n) for n in g["inputs"]),
-                int(g["output"]),
+                tuple(_json_id(n) for n in g["inputs"]),
+                _json_id(g["output"]),
                 g.get("level"),
             )
             for g in doc["gates"]
         ]
-        out_nets = {p["name"]: p["net"] for p in doc["outputs"]}
+        out_nets = {
+            p["name"]: None if p["net"] is None else _json_id(p["net"])
+            for p in doc["outputs"]
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise NetlistJsonError(f"malformed netlist document: {exc}") from exc
     nl = Netlist(inputs, outputs)
@@ -484,6 +603,6 @@ def from_json(text: str) -> Netlist:
     for name, net in out_nets.items():
         if net is None:
             raise UndrivenOutput(name)
-        nl.connect_output(name, int(net))
+        nl.connect_output(name, net)
     nl.validate()
     return nl

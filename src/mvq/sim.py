@@ -1,9 +1,12 @@
 """Stimulus sweeps over netlists with CSV and VCD trace export.
 
-Steps are purely combinational: each one is an independent evaluation, so
-traces are rectangular tables of levels over time. Exports are byte
-deterministic for a fixed trace. Quaternary signals appear in VCD as 2-bit
-vectors under the natural encoding, binary signals as scalars.
+Steps are purely combinational: each one is independent of the others, so
+traces are rectangular tables of levels over time. `run` evaluates all steps
+of a stimulus at once through the netlist's bit-parallel table kernel; row i
+still equals `Netlist.evaluate(steps[i])`, but is no longer computed that
+way. Exports are byte deterministic for a fixed trace. Quaternary signals
+appear in VCD as 2-bit vectors under the natural encoding, binary signals as
+scalars.
 """
 
 from __future__ import annotations
@@ -91,23 +94,21 @@ def sweep_all(nl: Netlist) -> Stimulus:
 
 
 def run(nl: Netlist, stim: Stimulus) -> Trace:
-    """Evaluate each step independently (steps share no state, so they could
-    run concurrently); row i is evaluate(steps[i])."""
+    """Evaluate every step at once (steps share no state); row i equals
+    evaluate(steps[i]): the step's input levels, then the output levels."""
     nl.validate()
     in_names = [name for name, _ in nl.input_ports]
-    out_names = [name for name, _ in nl.output_ports]
-    rows = []
+    ports = set(in_names)
     for step in stim.steps:
-        if set(step) != set(in_names):
+        if step.keys() != ports:
             raise PortMismatch(
                 f"step assigns {sorted(step)}, ports are {sorted(in_names)}"
             )
-        out = nl.evaluate(step)
-        rows.append(
-            tuple(step[n] for n in in_names) + tuple(out[n] for n in out_names)
-        )
+    columns = [[step[n] for step in stim.steps] for n in in_names]
+    columns += nl._eval_columns(columns, len(stim.steps))
+    rows = tuple(zip(*columns)) if columns else ((),) * len(stim.steps)
     signals = nl.input_ports + nl.output_ports
-    return Trace(signals, tuple(rows), stim.step_duration)
+    return Trace(signals, rows, stim.step_duration)
 
 
 def export_csv(trace: Trace) -> str:
@@ -115,7 +116,7 @@ def export_csv(trace: Trace) -> str:
     lines = ["time," + ",".join(names)]
     for i, row in enumerate(trace.rows):
         t = i * trace.step_duration
-        lines.append(f"{t}," + ",".join(str(v) for v in row))
+        lines.append(f"{t}," + ",".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -149,7 +150,15 @@ def parse_csv(
 
 
 def _vcd_ident(index: int) -> str:
-    return chr(33 + index)
+    """Bijective base-94 code over the printable characters '!'..'~': indices
+    0-93 are single characters, then '!!', '"!', ... so every index differs."""
+    chars = []
+    while True:
+        index, digit = divmod(index, 94)
+        chars.append(chr(33 + digit))
+        if index == 0:
+            return "".join(chars)
+        index -= 1
 
 
 def _vcd_value(sig: SignalType, level: int, ident: str) -> str:
@@ -199,12 +208,13 @@ def voltage_view(trace: Trace, vmap: VoltageMap | None = None) -> str:
     if vmap is None:
         vmap = VoltageMap()
     names = [name for name, _ in trace.signals]
+    # per signal, the rendered cell of each level
+    cells = [
+        tuple(f"{vmap.volts(sig, level):.1f}" for level in range(sig.levels))
+        for _, sig in trace.signals
+    ]
     lines = ["time," + ",".join(names)]
     for i, row in enumerate(trace.rows):
         t = i * trace.step_duration
-        cells = [
-            f"{vmap.volts(sig, level):.1f}"
-            for (_, sig), level in zip(trace.signals, row)
-        ]
-        lines.append(f"{t}," + ",".join(cells))
+        lines.append(f"{t}," + ",".join(map(tuple.__getitem__, cells, row)))
     return "\n".join(lines) + "\n"

@@ -198,6 +198,15 @@ def test_minimize_parse_error(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_minimize_duplicate_ilb_names(capsys, tmp_path):
+    pla = tmp_path / "dup.pla"
+    pla.write_text(".i 2\n.o 1\n.ilb a a\n11 1\n.e\n")
+    code, out, err = run_cli(capsys, "minimize", str(pla))
+    assert code == 2
+    assert out == ""
+    assert "duplicate .ilb name 'a'" in err and "Traceback" not in err
+
+
 def test_minimize_multi_output_rejected(capsys, tmp_path):
     pla = tmp_path / "multi.pla"
     pla.write_text(".i 2\n.o 2\n11 10\n.e\n")

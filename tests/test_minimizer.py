@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvq import minimizer
 from mvq.arith_core import OpKind
 from mvq.minimizer import (
     DC,
@@ -282,6 +283,19 @@ def test_recognize_xor_pairwise_fallback():
         bits = tuple((i >> (4 - j)) & 1 for j in range(5))
         want = (bits[0] ^ bits[1]) | (bits[2] & bits[3] & bits[4])
         assert spec_rows[i] == want
+
+
+def test_recognize_xor_checks_each_factored_pair(monkeypatch):
+    # a factoring with the wrong polarity must raise, also under python -O
+    real = minimizer._fxor_pair
+
+    def wrong_polarity(c1, c2):
+        got = real(c1, c2)
+        return None if got is None else got[:4] + (1 - got[4],)
+
+    monkeypatch.setattr(minimizer, "_fxor_pair", wrong_polarity)
+    with pytest.raises(RuntimeError):
+        recognize_xor(SopExpr(5, ("10---", "01---", "--111")))
 
 
 PLA_A2 = """\

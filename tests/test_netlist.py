@@ -296,6 +296,46 @@ def test_json_error_paths():
         from_json(json.dumps(bad))
 
 
+def _mutate_doc(path, value):
+    n = Netlist([("a", B)], [("y", B)])
+    n.connect_output("y", n.add_gate(GateKind.NOT, [n.input_net("a")]))
+    doc = json.loads(n.to_json())
+    *where, key = path
+    node = doc
+    for step in where:
+        node = node[step]
+    node[key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("outputs", 0, "net"), {"id": 1}),
+        (("outputs", 0, "net"), "x"),
+        (("outputs", 0, "net"), "1"),
+        (("outputs", 0, "net"), 1.0),
+        (("outputs", 0, "net"), True),
+        (("gates", 0, "inputs", 0), {"id": 0}),
+        (("gates", 0, "inputs", 0), "0"),
+        (("gates", 0, "inputs"), "0"),
+        (("gates", 0, "output"), [1]),
+        (("gates", 0, "output"), "1"),
+        (("gates", 0, "id"), {}),
+        (("gates", 0, "id"), "0"),
+    ],
+    ids=[
+        "output-net-dict", "output-net-str", "output-net-numeric-str",
+        "output-net-float", "output-net-bool", "gate-input-dict",
+        "gate-input-str", "gate-inputs-str", "gate-output-list",
+        "gate-output-str", "gate-id-dict", "gate-id-str",
+    ],
+)
+def test_json_rejects_non_integer_net_ids(path, value):
+    with pytest.raises(nl.NetlistJsonError):
+        from_json(_mutate_doc(path, value))
+
+
 def test_qconst_level_survives_json():
     n = Netlist([], [("k", Q)])
     n.connect_output("k", n.add_gate(GateKind.QCONST, level=3))

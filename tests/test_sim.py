@@ -9,6 +9,7 @@ from mvq.circuits import CIRCUIT_IDS, REGISTRY, build_q2b
 from mvq.netlist import GateKind, Netlist, SignalType, StateSpaceTooLarge
 from mvq.sim import (
     PortMismatch,
+    _vcd_ident,
     Stimulus,
     Trace,
     VoltageMap,
@@ -193,6 +194,22 @@ def test_vcd_constant_signal_dumped_once(vcd_check):
     # signals: a='!', k='"', y='#'; the constant only appears in $dumpvars
     body = text.split("$end\n")[-1]
     assert '"' not in body
+
+
+def test_vcd_identifiers_past_94_signals(vcd_check):
+    n = Netlist([(f"i{k}", B if k % 3 else Q) for k in range(20)],
+                [(f"o{k}", B) for k in range(180)])
+    for k in range(180):
+        n.connect_output(f"o{k}", n.add_gate(GateKind.CONST0 if k % 2 else GateKind.CONST1))
+    steps = ({f"i{k}": 0 for k in range(20)}, {f"i{k}": 1 for k in range(20)})
+    text = export_vcd(run(n, Stimulus(steps)))
+    widths, _ = vcd_check(text)
+    assert len(widths) == 200
+    assert all(ident.isascii() and ident.isprintable() and " " not in ident
+               for ident in widths)
+    # the first 94 keep their single-character codes
+    assert [_vcd_ident(i) for i in (0, 93)] == ["!", "~"]
+    assert len({_vcd_ident(i) for i in range(94 * 95 + 1)}) == 94 * 95 + 1
 
 
 def test_vcd_adder_timestamps(vcd_check):
