@@ -25,27 +25,6 @@ class PortShapeMismatch(NetlistError):
     pass
 
 
-@dataclass(frozen=True)
-class DeviceParams:
-    """Reference threshold voltages for the converter transistors.
-
-    Metadata only: evaluation never consults these. Units are volts.
-    """
-
-    dlc1_vtp: float = -2.2
-    dlc1_vtn: float = 0.2
-    dlc2_vtp: float = -1.2
-    dlc2_vtn: float = 1.2
-    dlc3_vtp: float = 0.2
-    dlc3_vtn: float = 2.2
-    b2q_m1: float = -0.6
-    b2q_m2: float = 0.6
-    b2q_m3: float = -1.2
-    b2q_m4: float = 0.6
-
-
-DEVICE_PARAMS = DeviceParams()
-
 # Published per-circuit transistor totals, kept as metadata with a note: they
 # come from a different cost basis than DEFAULT_COST_TABLE and are reported,
 # never asserted.
@@ -251,7 +230,6 @@ class CircuitInfo:
     cid: str
     title: str
     build: Callable[[], Netlist]
-    shape: str  # q2b | b2q | unary | binary | quat2
     op: OpKind | None
     published_transistors: int | None = None
 
@@ -259,39 +237,39 @@ class CircuitInfo:
 REGISTRY: dict[str, CircuitInfo] = {
     info.cid: info
     for info in (
-        CircuitInfo("q2b", "quaternary-to-binary converter", build_q2b, "q2b", None),
-        CircuitInfo("b2q", "binary-to-quaternary converter", build_b2q, "b2q", None),
+        CircuitInfo("q2b", "quaternary-to-binary converter", build_q2b, None),
+        CircuitInfo("b2q", "binary-to-quaternary converter", build_b2q, None),
         CircuitInfo(
-            "mod4-add", "mod-4 adder", build_mod4_adder, "binary",
+            "mod4-add", "mod-4 adder", build_mod4_adder,
             OpKind.MOD4_ADD, PUBLISHED_TRANSISTORS["mod4-add"],
         ),
         CircuitInfo(
-            "mod4-sub", "mod-4 subtractor", build_mod4_subtractor, "binary",
+            "mod4-sub", "mod-4 subtractor", build_mod4_subtractor,
             OpKind.MOD4_SUB,
         ),
         CircuitInfo(
-            "mod4-mul", "mod-4 multiplier", build_mod4_multiplier, "binary",
+            "mod4-mul", "mod-4 multiplier", build_mod4_multiplier,
             OpKind.MOD4_MUL, PUBLISHED_TRANSISTORS["mod4-mul"],
         ),
         CircuitInfo(
-            "mod4-neg", "mod-4 negator", build_mod4_negator, "unary",
+            "mod4-neg", "mod-4 negator", build_mod4_negator,
             OpKind.MOD4_NEG,
         ),
         CircuitInfo(
-            "mod4-dbl", "mod-4 doubler", build_mod4_doubler, "unary",
+            "mod4-dbl", "mod-4 doubler", build_mod4_doubler,
             OpKind.MOD4_DOUBLE,
         ),
         CircuitInfo(
-            "gf4-add", "GF(4) adder", build_gf4_adder, "binary",
+            "gf4-add", "GF(4) adder", build_gf4_adder,
             OpKind.GF4_ADD, PUBLISHED_TRANSISTORS["gf4-add"],
         ),
         CircuitInfo(
             "gf4-mul-sop", "GF(4) multiplier, two-level form", build_gf4_mul_sop,
-            "binary", OpKind.GF4_MUL,
+            OpKind.GF4_MUL,
         ),
         CircuitInfo(
             "gf4-mul-mux", "GF(4) multiplier, quaternary mux form",
-            build_gf4_mul_mux, "quat2", OpKind.GF4_MUL,
+            build_gf4_mul_mux, OpKind.GF4_MUL,
             PUBLISHED_TRANSISTORS["gf4-mul-mux"],
         ),
     )
@@ -379,10 +357,11 @@ def verify_all() -> tuple[VerifyResult, ...]:
 
 def quat_view(cid: str) -> Netlist:
     """The circuit with a fully quaternary interface: converter-wrapped for
-    2-bit cores, the bare netlist otherwise."""
+    operation circuits with binary (2-bit encoded) inputs, the bare netlist
+    otherwise."""
     info = get_info(cid)
     nl = info.build()
-    if info.shape in ("unary", "binary"):
+    if info.op is not None and all(sig is _B for _, sig in nl.input_ports):
         return compose_with_converters(nl)
     return nl
 

@@ -196,25 +196,35 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace, cfg: Config) -> int:
-    info = _resolve(args.circuit)
-    if info is None:
-        return EXIT_USAGE
+    if args.circuit == "all":
+        infos = [REGISTRY[cid] for cid in CIRCUIT_IDS]
+    else:
+        info = _resolve(args.circuit)
+        if info is None:
+            return EXIT_USAGE
+        infos = [info]
+    # measure every circuit before printing, so a cost-table error prints nothing
     try:
-        m = circuit_metrics(info.cid, cfg.cost_table)
+        measured = [
+            (info, circuit_metrics(info.cid, cfg.cost_table)) for info in infos
+        ]
     except MissingCostEntry as exc:
         print(f"cost table has no entry for {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"circuit: {info.cid} ({info.title})")
-    print(f"gates: {m.gate_count}")
-    print(f"depth: {m.depth}")
-    print(f"transistor estimate: {m.transistor_estimate}")
-    kinds = " ".join(f"{k}={v}" for k, v in m.kind_counts)
-    print(f"kinds: {kinds if kinds else '(none)'}")
-    if m.published_transistors is not None:
-        print(
-            f"published transistors: {m.published_transistors} "
-            f"({m.published_note})"
-        )
+    for i, (info, m) in enumerate(measured):
+        if i:
+            print()
+        print(f"circuit: {info.cid} ({info.title})")
+        print(f"gates: {m.gate_count}")
+        print(f"depth: {m.depth}")
+        print(f"transistor estimate: {m.transistor_estimate}")
+        kinds = " ".join(f"{k}={v}" for k, v in m.kind_counts)
+        print(f"kinds: {kinds if kinds else '(none)'}")
+        if m.published_transistors is not None:
+            print(
+                f"published transistors: {m.published_transistors} "
+                f"({m.published_note})"
+            )
     return EXIT_OK
 
 
@@ -342,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("metrics", parents=[common], help="gate count and depth")
-    p.add_argument("circuit")
+    p.add_argument("circuit", help="circuit id or 'all'")
     p.set_defaults(fn=cmd_metrics)
 
     p = sub.add_parser("minimize", parents=[common], help="exact SOP from PLA")

@@ -488,23 +488,30 @@ class Netlist:
             out.append(col)
         return out
 
-    def truth_table(self) -> TruthTable:
+    def _exhaustive_columns(self) -> list[bytes]:
+        """One level column per input port covering every input combination
+        once, lexicographic, first-declared port slowest-varying (validates
+        first; StateSpaceTooLarge past MAX_TABLE_STATES rows)."""
         self.validate()
         states = 1
         for _, sig in self._inputs:
             states *= sig.levels
         if states > MAX_TABLE_STATES:
             raise StateSpaceTooLarge(f"{states} input states")
-        # first-declared port is the slowest-varying index
         columns = []
         stride = states
         for _, sig in self._inputs:
             stride //= sig.levels
             block = b"".join(bytes((lv,)) * stride for lv in range(sig.levels))
             columns.append(block * (states // len(block)))
+        return columns
+
+    def truth_table(self) -> TruthTable:
+        columns = self._exhaustive_columns()
+        states = len(columns[0]) if columns else 1
         outs = self._eval_columns(columns, states)
-        combos = itertools.product(*(range(s.levels) for _, s in self._inputs))
-        rows = zip(combos, zip(*outs) if outs else itertools.repeat(()))
+        ins = zip(*columns) if columns else [()]
+        rows = zip(ins, zip(*outs) if outs else itertools.repeat(()))
         return TruthTable(self._inputs, self._outputs, tuple(rows))
 
     def metrics(self, costs: Mapping[GateKind, int] | None = None) -> Metrics:
@@ -561,6 +568,12 @@ def _json_id(value: object) -> int:
     return value
 
 
+def _json_name(value: object) -> str:
+    if type(value) is not str:
+        raise TypeError(f"port name {value!r} is not a string")
+    return value
+
+
 def from_json(text: str) -> Netlist:
     """Import a netlist document. Gates may appear in any order; input port i
     is net i by convention."""
@@ -569,8 +582,12 @@ def from_json(text: str) -> Netlist:
     except json.JSONDecodeError as exc:
         raise NetlistJsonError(f"bad JSON: {exc}") from exc
     try:
-        inputs = [(p["name"], SignalType(p["type"])) for p in doc["inputs"]]
-        outputs = [(p["name"], SignalType(p["type"])) for p in doc["outputs"]]
+        inputs = [
+            (_json_name(p["name"]), SignalType(p["type"])) for p in doc["inputs"]
+        ]
+        outputs = [
+            (_json_name(p["name"]), SignalType(p["type"])) for p in doc["outputs"]
+        ]
         gate_rows = [
             (
                 _json_id(g["id"]),

@@ -11,17 +11,10 @@ scalars.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .netlist import (
-    MAX_TABLE_STATES,
-    Netlist,
-    NetlistError,
-    SignalType,
-    StateSpaceTooLarge,
-)
+from .netlist import Netlist, NetlistError, SignalType
 
 
 class PortMismatch(NetlistError):
@@ -77,20 +70,10 @@ class VoltageMap:
 def sweep_all(nl: Netlist) -> Stimulus:
     """Every input combination once, lexicographic, first-declared port
     slowest-varying."""
-    nl.validate()
-    states = 1
-    for _, sig in nl.input_ports:
-        states *= sig.levels
-    if states > MAX_TABLE_STATES:
-        raise StateSpaceTooLarge(f"{states} input states")
+    columns = nl._exhaustive_columns()
     names = [name for name, _ in nl.input_ports]
-    steps = tuple(
-        dict(zip(names, combo))
-        for combo in itertools.product(
-            *(range(sig.levels) for _, sig in nl.input_ports)
-        )
-    )
-    return Stimulus(steps)
+    rows = zip(*columns) if columns else [()]
+    return Stimulus(tuple(dict(zip(names, row)) for row in rows))
 
 
 def run(nl: Netlist, stim: Stimulus) -> Trace:
@@ -111,20 +94,31 @@ def run(nl: Netlist, stim: Stimulus) -> Trace:
     return Trace(signals, rows, stim.step_duration)
 
 
-def export_csv(trace: Trace) -> str:
+# every level's CSV cell, for any signal type
+_LEVEL_CELLS = ("0", "1", "2", "3")
+
+
+def _write_csv(trace: Trace, cells: list[tuple[str, ...]]) -> str:
+    """The trace as CSV: a time column, then one column per signal, where
+    cells[j][level] is signal j's rendered cell at that level."""
     names = [name for name, _ in trace.signals]
     lines = ["time," + ",".join(names)]
     for i, row in enumerate(trace.rows):
         t = i * trace.step_duration
-        lines.append(f"{t}," + ",".join(map(str, row)))
+        lines.append(f"{t}," + ",".join(map(tuple.__getitem__, cells, row)))
     return "\n".join(lines) + "\n"
+
+
+def export_csv(trace: Trace) -> str:
+    return _write_csv(trace, [_LEVEL_CELLS] * len(trace.signals))
 
 
 def parse_csv(
     text: str, types: Mapping[str, SignalType], step_duration: int = 1
 ) -> Trace:
     """Inverse of export_csv (levels view only). Signal types are supplied by
-    the caller; step duration is taken from the time column when present."""
+    the caller; each cell must be one of its signal's levels as export_csv
+    writes it. Step duration is taken from the time column when present."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty CSV")
@@ -136,6 +130,11 @@ def parse_csv(
         if name not in types:
             raise ValueError(f"no signal type given for {name!r}")
     signals = tuple((name, types[name]) for name in names)
+    # per signal, the level of each cell export_csv can write for it
+    levels = [
+        {cell: lv for lv, cell in enumerate(_LEVEL_CELLS[: sig.levels])}
+        for _, sig in signals
+    ]
     rows = []
     times = []
     for ln in lines[1:]:
@@ -143,7 +142,10 @@ def parse_csv(
         if len(cells) != len(names) + 1:
             raise ValueError(f"row width mismatch: {ln!r}")
         times.append(int(cells[0]))
-        rows.append(tuple(int(c) for c in cells[1:]))
+        try:
+            rows.append(tuple(map(dict.__getitem__, levels, cells[1:])))
+        except KeyError as exc:
+            raise ValueError(f"cell {exc} is not a level: {ln!r}") from None
     if len(times) >= 2:
         step_duration = times[1] - times[0]
     return Trace(signals, tuple(rows), step_duration)
@@ -207,14 +209,8 @@ def voltage_view(trace: Trace, vmap: VoltageMap | None = None) -> str:
     """CSV like export_csv with levels rendered as voltages (1 decimal)."""
     if vmap is None:
         vmap = VoltageMap()
-    names = [name for name, _ in trace.signals]
-    # per signal, the rendered cell of each level
     cells = [
         tuple(f"{vmap.volts(sig, level):.1f}" for level in range(sig.levels))
         for _, sig in trace.signals
     ]
-    lines = ["time," + ",".join(names)]
-    for i, row in enumerate(trace.rows):
-        t = i * trace.step_duration
-        lines.append(f"{t}," + ",".join(map(tuple.__getitem__, cells, row)))
-    return "\n".join(lines) + "\n"
+    return _write_csv(trace, cells)

@@ -18,7 +18,6 @@ from mvq.arith_core import (
 )
 from mvq.circuits import (
     CIRCUIT_IDS,
-    DEVICE_PARAMS,
     PUBLISHED_TRANSISTORS,
     REGISTRY,
     CircuitInfo,
@@ -217,7 +216,7 @@ def test_compose_full_tables_match_oracles():
                 "gf4-add", "gf4-mul-sop"):
         info = REGISTRY[cid]
         wrapped = compose_with_converters(info.build())
-        if info.shape == "unary":
+        if info.op.arity == 1:
             for a in range(4):
                 assert wrapped.evaluate({"x": a})["q"] == apply_op(info.op, a), cid
         else:
@@ -295,19 +294,6 @@ def test_published_totals():
     assert m.gate_count == 4
     m = circuit_metrics("mod4-sub")
     assert m.published_transistors is None and m.published_note is None
-
-
-def test_device_params_are_frozen_metadata():
-    assert DEVICE_PARAMS.dlc1_vtp == -2.2
-    assert DEVICE_PARAMS.dlc1_vtn == 0.2
-    assert DEVICE_PARAMS.dlc2_vtp == -1.2
-    assert DEVICE_PARAMS.dlc2_vtn == 1.2
-    assert DEVICE_PARAMS.dlc3_vtp == 0.2
-    assert DEVICE_PARAMS.dlc3_vtn == 2.2
-    assert DEVICE_PARAMS.b2q_m1 == -0.6
-    assert DEVICE_PARAMS.b2q_m4 == 0.6
-    with pytest.raises(Exception):
-        DEVICE_PARAMS.dlc1_vtp = 0.0
 
 
 def test_every_circuit_survives_json_round_trip():

@@ -161,6 +161,30 @@ def test_metrics_missing_cost_entry(capsys, tmp_path):
     assert "no entry" in err
 
 
+def test_metrics_all(capsys):
+    code, out, _ = run_cli(capsys, "metrics", "all")
+    assert code == 0
+    blocks = out.split("\n\n")
+    assert [b.splitlines()[0].split()[1] for b in blocks] == list(
+        circuits.CIRCUIT_IDS
+    )
+    _, single, _ = run_cli(capsys, "metrics", "mod4-add")
+    assert blocks[circuits.CIRCUIT_IDS.index("mod4-add")] + "\n" == single
+
+
+def test_metrics_all_missing_cost_entry_prints_nothing(capsys, tmp_path):
+    # only the last circuit, gf4-mul-mux, uses qmux4
+    costs = {k.value: 1 for k in GateKind if k is not GateKind.QMUX4}
+    cost_path = tmp_path / "costs.json"
+    cost_path.write_text(json.dumps(costs))
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"cost_table={cost_path}\n")
+    code, out, err = run_cli(capsys, "metrics", "all", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "no entry for qmux4" in err
+
+
 def test_minimize(capsys, tmp_path):
     pla = tmp_path / "a2.pla"
     pla.write_text(A2_PLA)

@@ -323,12 +323,18 @@ def _mutate_doc(path, value):
         (("gates", 0, "output"), "1"),
         (("gates", 0, "id"), {}),
         (("gates", 0, "id"), "0"),
+        (("inputs", 0, "name"), ["a"]),
+        (("inputs", 0, "name"), 3),
+        (("outputs", 0, "name"), ["y"]),
+        (("outputs", 0, "name"), 3),
     ],
     ids=[
         "output-net-dict", "output-net-str", "output-net-numeric-str",
         "output-net-float", "output-net-bool", "gate-input-dict",
         "gate-input-str", "gate-inputs-str", "gate-output-list",
         "gate-output-str", "gate-id-dict", "gate-id-str",
+        "input-name-list", "input-name-int", "output-name-list",
+        "output-name-int",
     ],
 )
 def test_json_rejects_non_integer_net_ids(path, value):

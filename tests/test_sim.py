@@ -153,6 +153,9 @@ def test_parse_csv_errors():
         parse_csv("time,a\n0,1\n", {})
     with pytest.raises(ValueError):
         parse_csv("time,a\n0,1,2\n", {"a": B})
+    for level in ("2", "-1"):
+        with pytest.raises(ValueError):
+            parse_csv(f"time,a\n0,{level}\n", {"a": B})
 
 
 def test_voltage_view_defaults():
