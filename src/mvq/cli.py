@@ -2,12 +2,14 @@
 simulation, and circuit comparison over the registry.
 
 Exit codes: 0 success/equal/verified; 1 verification, audit, or comparison
-failure; 2 usage or parse error; 3 I/O error.
+failure; 2 usage or parse error; 3 I/O error, including a reader that closes
+stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -394,7 +396,21 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    return args.fn(args, cfg)
+    try:
+        code = args.fn(args, cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull so that the flush at interpreter exit cannot raise again
+        try:
+            fd = sys.stdout.fileno()
+        except io.UnsupportedOperation:
+            return EXIT_IO
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

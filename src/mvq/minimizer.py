@@ -1,18 +1,23 @@
 """Exact two-level minimization and the published-equation audit.
 
-Quine-McCluskey prime generation plus Petrick set cover, exact at the scale
-used here (up to 8 variables; the audited functions have 2 or 4). The audit
-re-derives every published output-bit equation from its defining table and
-compares costs mechanically.
+Quine-McCluskey prime generation plus Petrick set cover. The cover is exact,
+but Petrick's product-of-sums expansion holds every partial solution, so on
+dense 7- and 8-variable functions it can run for minutes; the audited
+functions have 2 or 4 variables. The audit re-derives every published
+output-bit equation from its defining table and compares costs mechanically.
 
 Cube notation: one character per variable, '1' plain literal, '0' complemented
 literal, '-' absent. Rendering and tie-breaks order cubes by the per-position
 rank 1 < 0 < -, so plain literals sort before complemented ones and both
-before dashes.
+before dashes. Internally a cube is a (care, value) pair of int masks with
+variable 0 as the most significant bit, as in the row index (row i lies in
+the cube when i & care == value), and a set of rows is an int with bit i for
+row i.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -75,16 +80,60 @@ class TruthTableSpec:
         return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
 
 
-def _minterm_cube(index: int, n: int) -> str:
-    return format(index, f"0{n}b")
+_CARE_DIGITS = str.maketrans("10-", "110")
+_VALUE_DIGITS = str.maketrans("10-", "100")
 
 
-def _cube_covers_index(cube: str, index: int) -> bool:
-    n = len(cube)
-    for j, ch in enumerate(cube):
-        if ch != DC and int(ch) != (index >> (n - 1 - j)) & 1:
-            return False
-    return True
+def _cube_mask(cube: str) -> tuple[int, int]:
+    return int(cube.translate(_CARE_DIGITS), 2), int(cube.translate(_VALUE_DIGITS), 2)
+
+
+def _cube_str(care: int, value: int, n: int) -> str:
+    return "".join(
+        "1" if value >> b & 1 else "0" if care >> b & 1 else DC
+        for b in range(n - 1, -1, -1)
+    )
+
+
+@functools.cache
+def _bit_rows(n: int) -> tuple[int, ...]:
+    # entry b: the rows of an n-variable table whose index has bit b set
+    return tuple(
+        sum(1 << i for i in range(2 ** n) if i >> b & 1) for b in range(n)
+    )
+
+
+def _cube_rows(care: int, value: int, n: int) -> int:
+    rows = (1 << 2 ** n) - 1
+    for b, ones in enumerate(_bit_rows(n)):
+        if care >> b & 1:
+            rows &= ones if value >> b & 1 else ~ones
+    return rows
+
+
+def _row_masks(outputs: tuple[int | str, ...]) -> tuple[int, int]:
+    """The on-set and don't-care rows of a table."""
+    on = dc = 0
+    for i, v in enumerate(outputs):
+        if v == 1:
+            on |= 1 << i
+        elif v == DC:
+            dc |= 1 << i
+    return on, dc
+
+
+def _sop_rows(cubes: tuple[str, ...], n: int) -> int:
+    rows = 0
+    for cube in cubes:
+        rows |= _cube_rows(*_cube_mask(cube), n)
+    return rows
+
+
+def _set_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def cube_literal_count(cube: str) -> int:
@@ -130,86 +179,84 @@ def _contains(a: str, b: str) -> bool:
     return all(ca == DC or ca == cb for ca, cb in zip(a, b))
 
 
-def _try_merge(a: str, b: str) -> str | None:
-    diff = -1
-    for j, (ca, cb) in enumerate(zip(a, b)):
-        if ca == cb:
-            continue
-        if ca == DC or cb == DC or diff >= 0:
-            return None
-        diff = j
-    if diff < 0:
-        return None
-    return a[:diff] + DC + a[diff + 1 :]
-
-
 def prime_implicants(spec: TruthTableSpec) -> tuple[str, ...]:
     """All prime implicants of on ∪ dc that cover at least one on-set row."""
     n = spec.n_vars
-    on = [i for i, v in enumerate(spec.outputs) if v == 1]
-    care = [i for i, v in enumerate(spec.outputs) if v in (1, DC)]
-    if not care:
-        return ()
-    current = {_minterm_cube(i, n) for i in care}
-    primes: set[str] = set()
+    on, dc = _row_masks(spec.outputs)
+    full = (1 << n) - 1
+    current = {(full, i) for i in _set_bits(on | dc)}
+    primes: set[tuple[int, int]] = set()
     while current:
-        merged: set[str] = set()
-        nxt: set[str] = set()
-        pool = sorted(current)
-        for a, b in itertools.combinations(pool, 2):
-            m = _try_merge(a, b)
-            if m is not None:
-                nxt.add(m)
-                merged.add(a)
-                merged.add(b)
+        # two cubes merge when they share a care mask and differ in one value bit
+        merged: set[tuple[int, int]] = set()
+        nxt: set[tuple[int, int]] = set()
+        for cube in current:
+            care, value = cube
+            for b in _set_bits(care):
+                bit = 1 << b
+                if (care, value ^ bit) in current:
+                    merged.add(cube)
+                    nxt.add((care ^ bit, value & ~bit))
         primes |= current - merged
         current = nxt
-    useful = [p for p in primes if any(_cube_covers_index(p, i) for i in on)]
+    useful = [
+        _cube_str(care, value, n)
+        for care, value in primes
+        if _cube_rows(care, value, n) & on
+    ]
     return tuple(sorted(useful, key=_cube_key))
-
-
-def _cover_cost(cubes: tuple[str, ...]) -> tuple:
-    ordered = tuple(sorted(cubes, key=_cube_key))
-    lits = sum(cube_literal_count(c) for c in ordered)
-    return (len(ordered), lits, tuple(_cube_key(c) for c in ordered))
 
 
 def minimize_exact(spec: TruthTableSpec) -> SopExpr:
     """Minimum-cost prime cover: fewest terms, then fewest literals, then the
     smallest cube list under the rank order (total tie-break)."""
+    n = spec.n_vars
     primes = prime_implicants(spec)
-    on = [i for i, v in enumerate(spec.outputs) if v == 1]
+    on, _ = _row_masks(spec.outputs)
     if not on:
-        return SopExpr(spec.n_vars, ())
-    covers = {m: tuple(p for p in primes if _cube_covers_index(p, m)) for m in on}
-    chosen: set[str] = set()
-    remaining = set(on)
-    for m, cands in covers.items():  # essential primes first
-        if len(cands) == 1:
-            chosen.add(cands[0])
-    for p in chosen:
-        remaining -= {m for m in remaining if _cube_covers_index(p, m)}
-    if remaining:
-        # Petrick: product of per-minterm candidate sums, with absorption
-        solutions: set[frozenset[str]] = {frozenset()}
-        for m in sorted(remaining):
-            grown: set[frozenset[str]] = set()
-            for sol in solutions:
-                if any(p in sol for p in covers[m]):
-                    grown.add(sol)
-                    continue
-                for p in covers[m]:
-                    grown.add(sol | {p})
-            solutions = {
-                s for s in grown if not any(t < s for t in grown)
-            }
-        best = min(
-            (tuple(chosen | extra) for extra in solutions),
-            key=_cover_cost,
-        )
-    else:
-        best = tuple(chosen)
-    return SopExpr(spec.n_vars, tuple(sorted(best, key=_cube_key)))
+        return SopExpr(n, ())
+    # primes come sorted by rank, so a cover is an int with bit k for primes[k]
+    # and the rank tie-break compares sorted prime indices
+    prime_rows = [_cube_rows(*_cube_mask(p), n) & on for p in primes]
+    lits = [cube_literal_count(p) for p in primes]
+    covers = dict.fromkeys(_set_bits(on), 0)  # row -> primes covering it
+    for k, rows in enumerate(prime_rows):
+        for m in _set_bits(rows):
+            covers[m] |= 1 << k
+    chosen = 0
+    for cands in covers.values():  # essential primes first
+        if cands & (cands - 1) == 0:
+            chosen |= cands
+    remaining = on
+    for k in _set_bits(chosen):
+        remaining &= ~prime_rows[k]
+    # Petrick: product of per-row candidate sums, with absorption
+    solutions = [0]
+    for m in _set_bits(remaining):
+        cands = covers[m]
+        grown: set[int] = set()
+        for sol in solutions:
+            if sol & cands:
+                grown.add(sol)
+                continue
+            for k in _set_bits(cands):
+                grown.add(sol | 1 << k)
+        # absorption: keep a solution only if no kept one is its subset
+        solutions = []
+        for s in sorted(grown, key=int.bit_count):
+            for t in solutions:
+                if t & s == t:
+                    break
+            else:
+                solutions.append(s)
+
+    def cost(extra: int) -> tuple:
+        picked = tuple(_set_bits(chosen | extra))
+        return (len(picked), sum(lits[k] for k in picked), picked)
+
+    fewest = min(map(int.bit_count, solutions))
+    best = min(cost(s) for s in solutions if s.bit_count() == fewest)[2]
+    return SopExpr(n, tuple(primes[k] for k in best))
 
 
 def check_equiv(e: SopExpr, spec: TruthTableSpec) -> bool:
@@ -266,19 +313,13 @@ def _all_cubes(n: int):
 def _xor_pair_search(e: SopExpr) -> tuple[str, str] | None:
     """Find cubes P, Q with P xor Q equivalent to e, minimizing literals."""
     n = e.n_vars
-    rows = [tuple((i >> (n - 1 - j)) & 1 for j in range(n)) for i in range(2 ** n)]
-    target = tuple(e.evaluate(bits) for bits in rows)
-    cubes = sorted(_all_cubes(n), key=_cube_key)
-    fns = {
-        c: tuple(
-            int(all(ch == DC or int(ch) == b for ch, b in zip(c, bits)))
-            for bits in rows
-        )
-        for c in cubes
-    }
+    target = _sop_rows(e.cubes, n)
+    # distinct cubes cover distinct rows, so P's rows fix Q's
+    by_rows = {_cube_rows(*_cube_mask(c), n): c for c in _all_cubes(n)}
     best: tuple[tuple, str, str] | None = None
-    for p, q in itertools.combinations(cubes, 2):
-        if tuple(a ^ b for a, b in zip(fns[p], fns[q])) != target:
+    for rows, p in by_rows.items():
+        q = by_rows.get(rows ^ target)
+        if q is None or q == p:
             continue
         a, b = sorted((p, q), key=_cube_key)
         rank = (
@@ -365,18 +406,16 @@ def recognize_xor(e: SopExpr, names: tuple[str, ...] | None = None) -> XorReport
         idx, (common, p, pol_p, q, pol_q) = match
         c2 = pool.pop(idx)
         # sanity: the factored term must equal the pair it replaces
-        pair_expr = SopExpr(n, tuple(sorted((c1, c2), key=_cube_key)))
-        for i in range(2 ** n):
-            bits = tuple((i >> (n - 1 - j)) & 1 for j in range(n))
-            u = bits[p] if pol_p == 1 else 1 - bits[p]
-            v = bits[q] if pol_q == 1 else 1 - bits[q]
-            common_on = all(
-                ch == DC or int(ch) == bit for ch, bit in zip(common, bits)
+        var = _bit_rows(n)
+        u = var[n - 1 - p] if pol_p == 1 else ~var[n - 1 - p]
+        v = var[n - 1 - q] if pol_q == 1 else ~var[n - 1 - q]
+        factored_rows = _cube_rows(*_cube_mask(common), n) & (u ^ v)
+        diff = factored_rows ^ _sop_rows((c1, c2), n)
+        if diff:
+            row = (diff & -diff).bit_length() - 1
+            raise RuntimeError(
+                f"factored term for {c1} + {c2} differs at row {row}"
             )
-            if (int(common_on) & (u ^ v)) != pair_expr.evaluate(bits):
-                raise RuntimeError(
-                    f"factored term for {c1} + {c2} differs at row {i}"
-                )
         xor_text = (
             f"{_render_literal(names[p], pol_p)} ^ "
             f"{_render_literal(names[q], pol_q)}"
@@ -402,7 +441,11 @@ def parse_pla(text: str) -> TruthTableSpec:
     n: int | None = None
     n_out: int | None = None
     names: tuple[str, ...] | None = None
-    assigned: dict[int, tuple[int | str, int]] = {}  # row -> (value, line no)
+    # rows assigned so far, per output value and in all; and each row line's
+    # rows, to name the line a conflict is with
+    assigned_as: dict[int | str, int] = {0: 0, 1: 0, DC: 0}
+    assigned = 0
+    row_lines: list[tuple[int, int]] = []
     saw_end = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -412,13 +455,13 @@ def parse_pla(text: str) -> TruthTableSpec:
             fields = line.split()
             directive = fields[0]
             if directive == ".i":
-                if len(fields) != 2 or not fields[1].isdigit():
+                if len(fields) != 2 or not fields[1].isdecimal():
                     raise ParseError(f"line {lineno}: bad .i")
                 n = int(fields[1])
                 if not 1 <= n <= 8:
                     raise ParseError(f"line {lineno}: .i {n} outside 1..8")
             elif directive == ".o":
-                if len(fields) != 2 or not fields[1].isdigit():
+                if len(fields) != 2 or not fields[1].isdecimal():
                     raise ParseError(f"line {lineno}: bad .o")
                 n_out = int(fields[1])
                 if n_out != 1:
@@ -459,14 +502,17 @@ def parse_pla(text: str) -> TruthTableSpec:
         if out_part not in ("0", "1", "-"):
             raise ParseError(f"line {lineno}: bad output value {out_part!r}")
         value: int | str = DC if out_part == DC else int(out_part)
-        for i in range(2 ** n):
-            if _cube_covers_index(in_part, i):
-                if i in assigned and assigned[i][0] != value:
-                    raise ParseError(
-                        f"line {lineno}: row {i} conflicts with line "
-                        f"{assigned[i][1]}"
-                    )
-                assigned[i] = (value, lineno)
+        rows = _cube_rows(*_cube_mask(in_part), n)
+        clash = rows & (assigned ^ assigned_as[value])
+        if clash:
+            row = (clash & -clash).bit_length() - 1
+            earlier = next(ln for r, ln in reversed(row_lines) if r >> row & 1)
+            raise ParseError(
+                f"line {lineno}: row {row} conflicts with line {earlier}"
+            )
+        assigned_as[value] |= rows
+        assigned |= rows
+        row_lines.append((rows, lineno))
     if n is None or n_out is None:
         raise ParseError("missing .i or .o header")
     if not saw_end:
@@ -475,7 +521,10 @@ def parse_pla(text: str) -> TruthTableSpec:
         names = default_names(n)
     if len(names) != n:
         raise ParseError(f".ilb lists {len(names)} names, expected {n}")
-    outputs = tuple(assigned.get(i, (0, 0))[0] for i in range(2 ** n))
+    outputs = tuple(
+        1 if assigned_as[1] >> i & 1 else DC if assigned_as[DC] >> i & 1 else 0
+        for i in range(2 ** n)
+    )
     return TruthTableSpec(names, outputs)
 
 

@@ -1,7 +1,9 @@
 """CLI behavior: output formats, exit codes, config handling."""
 
 import dataclasses
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -206,8 +208,6 @@ def test_minimize_xor(capsys, tmp_path):
 
 
 def test_minimize_stdin(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr(sys, "stdin", io.StringIO(".i 1\n.o 1\n1 1\n.e\n"))
     code, out, _ = run_cli(capsys, "minimize", "-")
     assert code == 0
@@ -427,3 +427,42 @@ def test_installed_module_entry_point():
     )
     assert proc.returncode == 0
     assert "10/10 circuits PASS" in proc.stdout
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["metrics", "all"], ["verify", "all"], ["audit"], ["table", "mod4-add"]],
+)
+def test_broken_pipe_exits_io_without_traceback(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 3
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_broken_pipe_subprocess(buffered):
+    # the reader is gone before mvq starts, so its first write to stdout fails
+    # (unbuffered) or its flush does (buffered)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvq.cli", "metrics", "all"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == ""
