@@ -53,9 +53,16 @@ class Config:
     out_dir: str = "."
 
 
-def _load_cost_table(path: str) -> dict[GateKind, int]:
+def _read_json(path: str) -> object:
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 is a ValueError
+            raise ConfigError(f"bad JSON in config-referenced file: {exc}") from None
+
+
+def _load_cost_table(path: str) -> dict[GateKind, int]:
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("cost table must be a JSON object of kind -> int")
     table = {}
@@ -71,8 +78,7 @@ def _load_cost_table(path: str) -> dict[GateKind, int]:
 
 
 def _load_voltage_map(path: str) -> VoltageMap:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     try:
         return VoltageMap(
             quat=tuple(float(v) for v in raw["quat"]),
@@ -389,9 +395,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"bad JSON in config-referenced file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)

@@ -85,7 +85,8 @@ _VALUE_DIGITS = str.maketrans("10-", "100")
 
 
 def _cube_mask(cube: str) -> tuple[int, int]:
-    return int(cube.translate(_CARE_DIGITS), 2), int(cube.translate(_VALUE_DIGITS), 2)
+    care = int(cube.translate(_CARE_DIGITS) or "0", 2)
+    return care, int(cube.translate(_VALUE_DIGITS) or "0", 2)
 
 
 def _cube_str(care: int, value: int, n: int) -> str:
@@ -155,8 +156,10 @@ class SopExpr:
             if c in seen:
                 raise ValueError(f"duplicate cube {c!r}")
             seen.add(c)
-        for a, b in itertools.permutations(self.cubes, 2):
-            if _contains(a, b):
+        # a covers b when b cares, with a's values, wherever a cares
+        pairs = itertools.permutations(zip(self.cubes, map(_cube_mask, self.cubes)), 2)
+        for (a, (a_care, a_value)), (b, (b_care, b_value)) in pairs:
+            if a_care & ~b_care == 0 and b_value & a_care == a_value:
                 raise ValueError(f"cube {a!r} already covers {b!r}")
 
     @property
@@ -172,11 +175,6 @@ class SopExpr:
             if all(ch == DC or int(ch) == b for ch, b in zip(cube, bits)):
                 return 1
         return 0
-
-
-def _contains(a: str, b: str) -> bool:
-    # a covers b: every minterm of b is a minterm of a
-    return all(ca == DC or ca == cb for ca, cb in zip(a, b))
 
 
 def prime_implicants(spec: TruthTableSpec) -> tuple[str, ...]:
@@ -454,6 +452,10 @@ def parse_pla(text: str) -> TruthTableSpec:
         if line.startswith("."):
             fields = line.split()
             directive = fields[0]
+            if row_lines and directive in (".i", ".o", ".ilb", ".ob", ".p"):
+                raise ParseError(f"line {lineno}: {directive} after cube rows")
+            if {".i": n, ".o": n_out}.get(directive) is not None:
+                raise ParseError(f"line {lineno}: repeated {directive}")
             if directive == ".i":
                 if len(fields) != 2 or not fields[1].isdecimal():
                     raise ParseError(f"line {lineno}: bad .i")

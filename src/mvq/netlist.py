@@ -1,9 +1,10 @@
 """Typed combinational gate-graph IR for mixed binary/quaternary circuits.
 
 Nets carry a fixed signal type (binary or quaternary). Gates are strict
-combinational primitives; evaluation walks a cached topological order, so a
-validated netlist is immutable and safe to evaluate from concurrent contexts.
-Construction (add_gate, connect_output) is single-context only.
+combinational primitives, each known by the one net it drives; `add_gates` is
+the one install path, used by `add_gate` and `from_json`. Evaluation walks the
+topological order `validate` caches until the next construction call, which
+is single-context only.
 
 `evaluate` is the single-vector reference: one row, one dict of levels.
 Whole tables (`truth_table`, and `sim.run` for any stimulus) go through one
@@ -238,9 +239,12 @@ class NetlistJsonError(NetlistError):
     pass
 
 
+class MultipleDrivers(NetlistJsonError):
+    pass
+
+
 @dataclass(frozen=True)
 class Gate:
-    gid: int
     kind: GateKind
     inputs: tuple[int, ...]
     output: int
@@ -282,8 +286,8 @@ def _check_column(column: Sequence[int], sig: SignalType, what: str) -> None:
 
 
 class Netlist:
-    """Combinational net graph. Net ids are dense ints; input port i drives
-    net i, each gate drives one fresh net."""
+    """Combinational net graph. Nets are ints; input port i drives net i, and
+    each gate drives one net of its own, by which it is known."""
 
     def __init__(
         self,
@@ -341,42 +345,43 @@ class Netlist:
         inputs: Iterable[int] = (),
         level: int | None = None,
     ) -> int:
-        ins = tuple(inputs)
-        gid = len(self._gates)
+        """Install one gate on the next fresh net and return that net."""
         out = self._next_net
-        self._install_gate(gid, kind, ins, out, level)
-        self._next_net += 1
+        self.add_gates([Gate(kind, tuple(inputs), out, level)])
         return out
 
-    def _install_gate(
-        self,
-        gid: int,
-        kind: GateKind,
-        ins: tuple[int, ...],
-        out: int,
-        level: int | None,
-    ) -> None:
-        in_sigs, out_sig = GATE_SIGNATURES[kind]
-        if len(ins) != len(in_sigs):
-            raise ArityMismatch(
-                f"{kind.value} takes {len(in_sigs)} inputs, got {len(ins)}"
-            )
-        for net, sig in zip(ins, in_sigs):
-            if net not in self._net_type:
-                raise UnknownNet(f"net {net} does not exist")
-            if self._net_type[net] is not sig:
-                raise TypeMismatch(
-                    f"{kind.value} needs {sig.value} input, net {net} is "
-                    f"{self._net_type[net].value}"
+    def add_gates(self, gates: Iterable[Gate]) -> None:
+        """Install gates given in any order, all or none. Inputs may be any
+        existing net or batch output; a second driver for a net, input ports
+        included, raises MultipleDrivers. Cycles are left to validate()."""
+        batch = list(gates)
+        new_type: dict[int, SignalType] = {}
+        for g in batch:
+            if g.output in self._net_type or g.output in new_type:
+                raise MultipleDrivers(f"net {g.output} has two drivers")
+            new_type[g.output] = GATE_SIGNATURES[g.kind][1]
+        for g in batch:
+            in_sigs = GATE_SIGNATURES[g.kind][0]
+            if len(g.inputs) != len(in_sigs):
+                raise ArityMismatch(
+                    f"{g.kind.value} takes {len(in_sigs)} inputs, got {len(g.inputs)}"
                 )
-        if kind is GateKind.QCONST:
-            if level is None:
-                raise LevelOutOfRange("qconst requires a level")
-            _check_level(level, SignalType.QUAT, "qconst level")
-        elif level is not None:
-            raise NetlistError(f"{kind.value} does not take a level")
-        self._net_type[out] = out_sig
-        self._gates.append(Gate(gid, kind, ins, out, level))
+            for net, sig in zip(g.inputs, in_sigs):
+                have = self._net_type.get(net) or new_type.get(net)
+                if have is None:
+                    raise UnknownNet(f"net {net} does not exist")
+                if have is not sig:
+                    raise TypeMismatch(
+                        f"{g.kind.value} needs {sig.value} input, net {net} is "
+                        f"{have.value}"
+                    )
+            if g.kind is GateKind.QCONST:  # a missing level is None, not an int
+                _check_level(g.level, SignalType.QUAT, "qconst level")
+            elif g.level is not None:
+                raise NetlistError(f"{g.kind.value} does not take a level")
+        self._net_type.update(new_type)
+        self._gates += batch
+        self._next_net = max([self._next_net - 1, *new_type]) + 1
         self._topo = None
 
     def connect_output(self, name: str, net: int) -> None:
@@ -407,7 +412,7 @@ class Netlist:
         ready: list[Gate] = []
         for g in self._gates:
             deps = [n for n in g.inputs if n in driver]
-            pending[g.gid] = len(deps)
+            pending[g.output] = len(deps)
             for n in deps:
                 consumers.setdefault(n, []).append(g)
             if not deps:
@@ -417,22 +422,19 @@ class Netlist:
             g = ready.pop()
             order.append(g)
             for h in consumers.get(g.output, ()):
-                pending[h.gid] -= 1
-                if pending[h.gid] == 0:
+                pending[h.output] -= 1
+                if pending[h.output] == 0:
                     ready.append(h)
         if len(order) != len(self._gates):
-            stuck = next(g for g in self._gates if pending[g.gid] > 0)
-            # walk unresolved deps until a gate repeats; its output is cyclic
+            net = next(n for n, left in pending.items() if left > 0)
+            # walk unresolved deps until a net repeats; it lies on a cycle
             seen: set[int] = set()
-            g = stuck
-            while g.gid not in seen:
-                seen.add(g.gid)
-                g = next(
-                    driver[n]
-                    for n in g.inputs
-                    if n in driver and pending[driver[n].gid] > 0
+            while net not in seen:
+                seen.add(net)
+                net = next(
+                    n for n in driver[net].inputs if n in driver and pending[n] > 0
                 )
-            raise CombinationalCycle(f"net {g.output} lies on a cycle")
+            raise CombinationalCycle(f"net {net} lies on a cycle")
         self._topo = order
 
     def evaluate(self, assignment: Mapping[str, int]) -> dict[str, int]:
@@ -549,13 +551,13 @@ class Netlist:
             ],
             "gates": [
                 {
-                    "id": g.gid,
+                    "id": k,
                     "kind": g.kind.value,
                     "inputs": list(g.inputs),
                     "output": g.output,
                     **({"level": g.level} if g.kind is GateKind.QCONST else {}),
                 }
-                for g in self._gates
+                for k, g in enumerate(self._gates)
             ],
         }
         return json.dumps(doc, indent=2)
@@ -576,10 +578,10 @@ def _json_name(value: object) -> str:
 
 def from_json(text: str) -> Netlist:
     """Import a netlist document. Gates may appear in any order; input port i
-    is net i by convention."""
+    is net i by convention; gate ids must be unique integers, then are dropped."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError included
         raise NetlistJsonError(f"bad JSON: {exc}") from exc
     try:
         inputs = [
@@ -588,9 +590,9 @@ def from_json(text: str) -> Netlist:
         outputs = [
             (_json_name(p["name"]), SignalType(p["type"])) for p in doc["outputs"]
         ]
-        gate_rows = [
-            (
-                _json_id(g["id"]),
+        ids = [_json_id(g["id"]) for g in doc["gates"]]
+        gates = [
+            Gate(
                 GateKind(g["kind"]),
                 tuple(_json_id(n) for n in g["inputs"]),
                 _json_id(g["output"]),
@@ -605,18 +607,9 @@ def from_json(text: str) -> Netlist:
     except (KeyError, TypeError, ValueError) as exc:
         raise NetlistJsonError(f"malformed netlist document: {exc}") from exc
     nl = Netlist(inputs, outputs)
-    if len({gid for gid, *_ in gate_rows}) != len(gate_rows):
+    if len(set(ids)) != len(ids):
         raise NetlistJsonError("duplicate gate id")
-    # pass 1: register every gate output net so order does not matter
-    for gid, kind, ins, out, level in gate_rows:
-        if out in nl._net_type:
-            raise NetlistJsonError(f"net {out} has two drivers")
-        nl._net_type[out] = GATE_SIGNATURES[kind][1]
-    # pass 2: wire and type-check (a self-loop survives to validate() below,
-    # which reports it as a cycle)
-    for gid, kind, ins, out, level in gate_rows:
-        nl._install_gate(gid, kind, ins, out, level)
-        nl._next_net = max(nl._next_net, out + 1)
+    nl.add_gates(gates)
     for name, net in out_nets.items():
         if net is None:
             raise UndrivenOutput(name)

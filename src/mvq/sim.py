@@ -52,13 +52,15 @@ class Trace:
 
 @dataclass(frozen=True)
 class VoltageMap:
-    """Level-to-voltage rendering map; strictly increasing per signal type."""
+    """Level-to-voltage rendering map: one strictly increasing voltage per level."""
 
     quat: tuple[float, float, float, float] = (0.0, 1.1, 2.2, 3.3)
     bin: tuple[float, float] = (0.0, 3.3)
 
     def __post_init__(self) -> None:
-        for levels in (self.quat, self.bin):
+        for sig, levels in ((SignalType.QUAT, self.quat), (SignalType.BIN, self.bin)):
+            if len(levels) != sig.levels:
+                raise ValueError(f"{sig.value} needs {sig.levels} voltages")
             if any(b <= a for a, b in zip(levels, levels[1:])):
                 raise ValueError("voltages must be strictly increasing")
 

@@ -400,6 +400,43 @@ def test_config_comments_and_blanks(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("cost_table", ["metrics", "mod4-add"]),
+        ("voltage_map", ["sim", "q2b", "--csv", "-", "--volts"]),
+    ],
+)
+def test_config_deeply_nested_json_is_a_config_error(capsys, tmp_path, key, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"{key}={deep}\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("bad JSON in config-referenced file: maximum recursion")
+
+
+@pytest.mark.parametrize(
+    "vmap",
+    [
+        {"quat": [0.0, 1.1, 2.2], "bin": [0.0, 3.3]},
+        {"quat": [0.0, 1.1, 2.2, 3.3, 4.4], "bin": [0.0, 1.0, 3.3]},
+    ],
+    ids=["three-quat", "five-quat-three-bin"],
+)
+def test_config_voltage_map_needs_one_voltage_per_level(capsys, tmp_path, vmap):
+    vmap_path = tmp_path / "v.json"
+    vmap_path.write_text(json.dumps(vmap))
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"voltage_map={vmap_path}\n")
+    code, out, err = run_cli(
+        capsys, "sim", "q2b", "--csv", "-", "--volts", "--config", str(cfg)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("bad voltage map: quat needs 4 voltages")
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

@@ -266,6 +266,27 @@ def test_json_gate_permutation_invariance_on_larger_graph(rng):
     assert from_json(json.dumps(doc)).truth_table() == n.truth_table()
 
 
+def test_add_gate_after_from_json_takes_a_fresh_net():
+    # gate ids 1 and 2 used to collide with the id add_gate gave the third gate
+    doc = {
+        "inputs": [{"name": "a", "type": "bin"}],
+        "outputs": [{"name": "y", "type": "bin", "net": 2}],
+        "gates": [
+            {"id": 1, "kind": "not", "inputs": [0], "output": 1},
+            {"id": 2, "kind": "not", "inputs": [1], "output": 2},
+        ],
+    }
+    n = from_json(json.dumps(doc))
+    extra = n.add_gate(GateKind.NOT, [2])
+    assert extra == 3
+    n.connect_output("y", extra)
+    n.validate()
+    assert [g.output for g in n.topo_gates()] == [1, 2, 3]
+    for a in (0, 1):
+        assert n.evaluate({"a": a}) == {"y": 1 - a}
+    assert n.truth_table().rows == (((0,), (1,)), ((1,), (0,)))
+
+
 def test_json_error_paths():
     with pytest.raises(nl.NetlistJsonError):
         from_json("{nope")

@@ -7,6 +7,7 @@ import io
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -44,15 +45,31 @@ def valid_pla(draw):
 
 
 @st.composite
+def with_late_header(draw, lines, op):
+    """lines with a header inserted before .e: for "repeat" a second .i or
+    .o anywhere, for "late" any header directive after the first cube row."""
+    end = next((k for k, line in enumerate(lines) if line.strip() == ".e"), len(lines))
+    rows = [k for k in range(end) if not lines[k].startswith(".")]
+    if op == "repeat" or not rows:
+        header, start = draw(st.sampled_from((".i 2", ".o 1"))), 0
+    else:
+        header = draw(st.sampled_from((".i 2", ".o 1", ".ilb a b", ".ob f", ".p 1")))
+        start = rows[0] + 1
+    k = draw(st.integers(start, end))
+    return lines[:k] + [header] + lines[k:]
+
+
+@st.composite
 def mutated_pla(draw):
     lines = draw(valid_pla())
     for _ in range(draw(st.integers(0, 4))):
         if not lines:
             lines.append(".e")
         k = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(
-            ("drop", "duplicate", "swap", "char", "widen", "narrow", "conflict", "header")
-        ))
+        op = draw(st.sampled_from((
+            "drop", "duplicate", "swap", "char", "widen", "narrow", "conflict",
+            "header", "repeat", "late",
+        )))
         if op == "drop":
             del lines[k]
         elif op == "duplicate":
@@ -74,9 +91,17 @@ def mutated_pla(draw):
             if len(fields) == 2 and not fields[0].startswith("."):
                 other = draw(st.sampled_from([v for v in "01-" if v != fields[1]]))
                 lines.insert(k + 1, f"{fields[0]} {other}")
+        elif op in ("repeat", "late"):
+            lines = draw(with_late_header(lines, op))
         else:
             lines.insert(0, draw(st.sampled_from((".i 0", ".i 9", ".o 0", ".o 2", ".i", ".type f"))))
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def pla_with_late_header(draw):
+    op = draw(st.sampled_from(("repeat", "late")))
+    return "\n".join(draw(with_late_header(draw(valid_pla()), op))) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
@@ -89,6 +114,15 @@ def test_parse_pla_raises_only_its_own_errors(text):
         parse_pla(text)
     except (ParseError, UnsupportedFeature):
         pass
+
+
+@settings(max_examples=150, deadline=None)
+# the earlier row used to be read again under the later width
+@example(".i 2\n.o 1\n11 1\n.i 3\n.e\n")
+@given(pla_with_late_header())
+def test_repeated_or_late_header_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_pla(text)
 
 
 @settings(max_examples=150, deadline=None)
