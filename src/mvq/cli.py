@@ -2,8 +2,14 @@
 simulation, and circuit comparison over the registry.
 
 Exit codes: 0 success/equal/verified; 1 verification, audit, or comparison
-failure; 2 usage or parse error; 3 I/O error, including a reader that closes
-stdout early.
+failure; 2 usage, config, or parse error, including input that is not UTF-8
+and a path the OS rejects; 3 I/O error, including a reader that closes stdout
+early.
+
+Subcommands return 0 or 1 and raise for any other outcome; `main` alone
+prints a failure and picks exit code 2 or 3. Every file is read through
+`_read_text` ('-' is stdin) and written through `_write_text`, and both name
+the path when they fail.
 """
 
 from __future__ import annotations
@@ -42,8 +48,13 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-class ConfigError(Exception):
-    pass
+class CliError(Exception):
+    """A reported failure: main prints the message to stderr and exits with
+    the code."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 @dataclass
@@ -53,39 +64,64 @@ class Config:
     out_dir: str = "."
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file, or of stdin for '-'."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from None
+    except ValueError as exc:  # not UTF-8, or a path open() rejects
+        raise CliError(f"cannot read {path}: {exc}") from None
+
+
 def _read_json(path: str) -> object:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 is a ValueError
-            raise ConfigError(f"bad JSON in config-referenced file: {exc}") from None
+    try:
+        return json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise CliError(f"bad JSON in config-referenced file: {exc}") from None
 
 
 def _load_cost_table(path: str) -> dict[GateKind, int]:
     raw = _read_json(path)
     if not isinstance(raw, dict):
-        raise ConfigError("cost table must be a JSON object of kind -> int")
+        raise CliError("cost table must be a JSON object of kind -> int")
     table = {}
     for key, value in raw.items():
         try:
             kind = GateKind(key)
         except ValueError:
-            raise ConfigError(f"unknown gate kind {key!r} in cost table")
+            raise CliError(f"unknown gate kind {key!r} in cost table") from None
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ConfigError(f"cost for {key!r} must be a non-negative integer")
+            raise CliError(f"cost for {key!r} must be a non-negative integer")
         table[kind] = value
     return table
+
+
+def _voltage(value: object) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"voltage {json.dumps(value)} is not a JSON number")
+    return float(value)
 
 
 def _load_voltage_map(path: str) -> VoltageMap:
     raw = _read_json(path)
     try:
         return VoltageMap(
-            quat=tuple(float(v) for v in raw["quat"]),
-            bin=tuple(float(v) for v in raw["bin"]),
+            quat=tuple(map(_voltage, raw["quat"])),
+            bin=tuple(map(_voltage, raw["bin"])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad voltage map: {exc}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CliError(f"bad voltage map: {exc}") from None
+
+
+# config keys naming a JSON file: key -> (Config field, loader)
+_FILE_KEYS = {
+    "cost_table": ("cost_table", _load_cost_table),
+    "voltage_map": ("voltages", _load_voltage_map),
+}
 
 
 def load_config(path: str | None) -> Config:
@@ -95,45 +131,32 @@ def load_config(path: str | None) -> Config:
     cfg = Config()
     if path is None:
         return cfg
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
+            raise CliError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "cost_table":
+        if key in _FILE_KEYS:
+            field, loader = _FILE_KEYS[key]
             if not os.path.exists(value):
-                print(
-                    f"warning: cost table {value!r} not found; using defaults",
-                    file=sys.stderr,
-                )
+                label = key.replace("_", " ")
+                print(f"warning: {label} {value!r} not found; using defaults",
+                      file=sys.stderr)
                 continue
-            cfg.cost_table = _load_cost_table(value)
-        elif key == "voltage_map":
-            if not os.path.exists(value):
-                print(
-                    f"warning: voltage map {value!r} not found; using defaults",
-                    file=sys.stderr,
-                )
-                continue
-            cfg.voltages = _load_voltage_map(value)
+            setattr(cfg, field, loader(value))
         elif key == "out_dir":
             cfg.out_dir = value
         else:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
     return cfg
 
 
-def _resolve(cid: str) -> CircuitInfo | None:
+def _resolve(cid: str) -> CircuitInfo:
     info = REGISTRY.get(cid)
     if info is None:
-        print(
-            f"unknown circuit {cid!r}; known: {', '.join(CIRCUIT_IDS)}",
-            file=sys.stderr,
-        )
+        raise CliError(f"unknown circuit {cid!r}; known: {', '.join(CIRCUIT_IDS)}")
     return info
 
 
@@ -153,14 +176,17 @@ def _write_text(dest: str, text: str, out_dir: str) -> None:
         sys.stdout.write(text)
         return
     path = dest if os.path.isabs(dest) else os.path.join(out_dir, dest)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from None
+    except ValueError as exc:  # a path open() rejects
+        raise CliError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
     info = _resolve(args.circuit)
-    if info is None:
-        return EXIT_USAGE
     nl = info.build() if args.bits else quat_view(info.cid)
     tt = nl.truth_table()
     two_quat_in = (
@@ -188,10 +214,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     if args.circuit == "all":
         results = verify_all()
     else:
-        info = _resolve(args.circuit)
-        if info is None:
-            return EXIT_USAGE
-        results = (verify(info.cid),)
+        results = (verify(_resolve(args.circuit).cid),)
     for res in results:
         if res.ok:
             print(f"{res.cid}: PASS ({res.vectors} vectors)")
@@ -207,18 +230,9 @@ def cmd_metrics(args: argparse.Namespace, cfg: Config) -> int:
     if args.circuit == "all":
         infos = [REGISTRY[cid] for cid in CIRCUIT_IDS]
     else:
-        info = _resolve(args.circuit)
-        if info is None:
-            return EXIT_USAGE
-        infos = [info]
+        infos = [_resolve(args.circuit)]
     # measure every circuit before printing, so a cost-table error prints nothing
-    try:
-        measured = [
-            (info, circuit_metrics(info.cid, cfg.cost_table)) for info in infos
-        ]
-    except MissingCostEntry as exc:
-        print(f"cost table has no entry for {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    measured = [(info, circuit_metrics(info.cid, cfg.cost_table)) for info in infos]
     for i, (info, m) in enumerate(measured):
         if i:
             print()
@@ -237,20 +251,7 @@ def cmd_metrics(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_minimize(args: argparse.Namespace, cfg: Config) -> int:
-    try:
-        if args.pla == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.pla, encoding="utf-8") as fh:
-                text = fh.read()
-    except OSError as exc:
-        print(f"cannot read {args.pla}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        spec = parse_pla(text)
-    except (ParseError, UnsupportedFeature) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    spec = parse_pla(_read_text(args.pla))
     best = minimize_exact(spec)
     print(render_sop(best, spec.names))
     if args.xor:
@@ -287,48 +288,31 @@ def cmd_audit(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_sim(args: argparse.Namespace, cfg: Config) -> int:
-    info = _resolve(args.circuit)
-    if info is None:
-        return EXIT_USAGE
-    nl = info.build()
+    nl = _resolve(args.circuit).build()
     trace = run(nl, sweep_all(nl))
     csv_text = (
         voltage_view(trace, cfg.voltages) if args.volts else export_csv(trace)
     )
-    try:
-        wrote = False
-        if args.csv is not None:
-            _write_text(args.csv, csv_text, cfg.out_dir)
-            wrote = True
-        if args.vcd is not None:
-            _write_text(args.vcd, export_vcd(trace), cfg.out_dir)
-            wrote = True
-        if not wrote:
-            sys.stdout.write(csv_text)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.csv is None and args.vcd is None:
+        sys.stdout.write(csv_text)
+    if args.csv is not None:
+        _write_text(args.csv, csv_text, cfg.out_dir)
+    if args.vcd is not None:
+        _write_text(args.vcd, export_vcd(trace), cfg.out_dir)
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace, cfg: Config) -> int:
-    info_a = _resolve(args.a)
-    if info_a is None:
-        return EXIT_USAGE
-    info_b = _resolve(args.b)
-    if info_b is None:
-        return EXIT_USAGE
+    info_a, info_b = _resolve(args.a), _resolve(args.b)
     va, vb = quat_view(info_a.cid), quat_view(info_b.cid)
     if va.input_ports != vb.input_ports or va.output_ports != vb.output_ports:
-        print(
+        raise CliError(
             f"port shapes differ: {info_a.cid} is "
             f"{[n for n, _ in va.input_ports]} -> "
             f"{[n for n, _ in va.output_ports]}, {info_b.cid} is "
             f"{[n for n, _ in vb.input_ports]} -> "
-            f"{[n for n, _ in vb.output_ports]}",
-            file=sys.stderr,
+            f"{[n for n, _ in vb.output_ports]}"
         )
-        return EXIT_USAGE
     ta, tb = va.truth_table(), vb.truth_table()
     for (ins, outs_a), (_, outs_b) in zip(ta.rows, tb.rows):
         if outs_a != outs_b:
@@ -392,15 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        code = args.fn(args, cfg)
+        code = args.fn(args, load_config(args.config))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early; send what is still buffered to
@@ -413,6 +389,12 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return EXIT_IO
+    except CliError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    except (ParseError, UnsupportedFeature, MissingCostEntry) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

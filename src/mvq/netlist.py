@@ -523,7 +523,7 @@ class Netlist:
         total = 0
         for g in counted:
             if g.kind not in table:
-                raise MissingCostEntry(g.kind.value)
+                raise MissingCostEntry(f"cost table has no entry for {g.kind.value}")
             total += table[g.kind]
         # depth: gate hops on the longest input->output path
         net_depth: dict[int, int] = {n: 0 for n in self._input_net.values()}

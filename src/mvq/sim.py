@@ -11,6 +11,7 @@ scalars.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -39,6 +40,8 @@ class Trace:
     step_duration: int = 1
 
     def __post_init__(self) -> None:
+        if self.step_duration < 1:
+            raise ValueError("step_duration must be at least 1")
         for row in self.rows:
             if len(row) != len(self.signals):
                 raise ValueError("trace rows must cover every signal")
@@ -61,6 +64,8 @@ class VoltageMap:
         for sig, levels in ((SignalType.QUAT, self.quat), (SignalType.BIN, self.bin)):
             if len(levels) != sig.levels:
                 raise ValueError(f"{sig.value} needs {sig.levels} voltages")
+            if not all(map(math.isfinite, levels)):
+                raise ValueError("voltages must be finite")
             if any(b <= a for a, b in zip(levels, levels[1:])):
                 raise ValueError("voltages must be strictly increasing")
 
@@ -120,7 +125,8 @@ def parse_csv(
 ) -> Trace:
     """Inverse of export_csv (levels view only). Signal types are supplied by
     the caller; each cell must be one of its signal's levels as export_csv
-    writes it. Step duration is taken from the time column when present."""
+    writes it, and time i must read i * step. The step is the second time
+    when there are two rows or more, else step_duration."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty CSV")
@@ -128,6 +134,8 @@ def parse_csv(
     if header[0] != "time":
         raise ValueError("first column must be time")
     names = header[1:]
+    if len(set(names)) != len(names):
+        raise ValueError(f"repeated column name in {lines[0]!r}")
     for name in names:
         if name not in types:
             raise ValueError(f"no signal type given for {name!r}")
@@ -143,13 +151,15 @@ def parse_csv(
         cells = ln.split(",")
         if len(cells) != len(names) + 1:
             raise ValueError(f"row width mismatch: {ln!r}")
-        times.append(int(cells[0]))
+        times.append(cells[0])
         try:
             rows.append(tuple(map(dict.__getitem__, levels, cells[1:])))
         except KeyError as exc:
             raise ValueError(f"cell {exc} is not a level: {ln!r}") from None
     if len(times) >= 2:
-        step_duration = times[1] - times[0]
+        step_duration = int(times[1])
+    if times != [str(i * step_duration) for i in range(len(times))]:
+        raise ValueError(f"time column must read 0, {step_duration}, ...")
     return Trace(signals, tuple(rows), step_duration)
 
 
@@ -177,10 +187,8 @@ def export_vcd(trace: Trace, timescale: str = "1 ns") -> str:
         f"$timescale {timescale} $end",
         "$scope module top $end",
     ]
-    idents = {}
-    for idx, (name, sig) in enumerate(trace.signals):
-        ident = _vcd_ident(idx)
-        idents[name] = ident
+    idents = [_vcd_ident(idx) for idx in range(len(trace.signals))]
+    for (name, sig), ident in zip(trace.signals, idents):
         width = 2 if sig is SignalType.QUAT else 1
         out.append(f"$var wire {width} {ident} {name} $end")
     out.append("$upscope $end")
@@ -191,13 +199,15 @@ def export_vcd(trace: Trace, timescale: str = "1 ns") -> str:
         if prev is None:
             out.append("#0")
             out.append("$dumpvars")
-            for (name, sig), level in zip(trace.signals, row):
-                out.append(_vcd_value(sig, level, idents[name]))
+            for (_, sig), level, ident in zip(trace.signals, row, idents):
+                out.append(_vcd_value(sig, level, ident))
             out.append("$end")
         else:
             changes = [
-                _vcd_value(sig, level, idents[name])
-                for (name, sig), level, old in zip(trace.signals, row, prev)
+                _vcd_value(sig, level, ident)
+                for (_, sig), ident, level, old in zip(
+                    trace.signals, idents, row, prev
+                )
                 if level != old
             ]
             if changes:

@@ -7,8 +7,9 @@ def check_vcd_structure(text):
     """Validate a VCD dump structurally and return (widths by ident, times).
 
     Checks: balanced scopes, a timescale, every value change uses a declared
-    identifier with the declared width, strictly increasing timestamps, and
-    vector values only over bits 0/1.
+    identifier with the declared width, strictly increasing timestamps,
+    vector values only over bits 0/1, and a $dumpvars block that gives every
+    declared identifier exactly one value.
     """
     lines = text.splitlines()
     assert lines, "empty VCD"
@@ -44,11 +45,13 @@ def check_vcd_structure(text):
     times = []
     last_time = None
     in_dump = False
+    dumps = []  # the identifiers set by each $dumpvars block
     for ln in lines[body_start:]:
         if not ln:
             continue
         if ln == "$dumpvars":
             in_dump = True
+            dumps.append([])
             continue
         if ln == "$end":
             assert in_dump, "stray $end"
@@ -70,7 +73,11 @@ def check_vcd_structure(text):
             value, ident = ln[0], ln[1:]
             assert value in "01"
             assert widths.get(ident) == 1, f"bad scalar change {ln!r}"
+        if in_dump:
+            dumps[-1].append(ident)
     assert not in_dump, "unterminated $dumpvars"
+    for dumped in dumps:
+        assert sorted(dumped) == sorted(widths), "$dumpvars must set each ident once"
     return widths, times
 
 

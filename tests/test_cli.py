@@ -437,6 +437,90 @@ def test_config_voltage_map_needs_one_voltage_per_level(capsys, tmp_path, vmap):
     assert err.startswith("bad voltage map: quat needs 4 voltages")
 
 
+@pytest.mark.parametrize(
+    "vmap_text",
+    [
+        '{"quat": [false, true, "2", 3], "bin": [false, "3.3"]}',
+        '{"quat": [0, 1, 2, 3], "bin": [0, true]}',
+        '{"quat": [0, 1, NaN, 3], "bin": [0, 3.3]}',
+        '{"quat": [0, 1, 2, 3], "bin": [0, Infinity]}',
+        '{"quat": [0, 1, 2, 3], "bin": [-Infinity, 0]}',
+        '{"quat": [0, 1, 2, 1e999], "bin": [0, 3.3]}',
+        '{"quat": [0, 1, 2, 3], "bin": [0, 1%s]}' % ("0" * 400),
+    ],
+    ids=["bools-and-strings", "bool", "nan", "inf", "minus-inf", "overflow", "huge-int"],
+)
+def test_config_voltages_must_be_finite_json_numbers(capsys, tmp_path, vmap_text):
+    vmap_path = tmp_path / "v.json"
+    vmap_path.write_text(vmap_text)
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"voltage_map={vmap_path}\n")
+    code, out, err = run_cli(
+        capsys, "sim", "q2b", "--csv", "-", "--volts", "--config", str(cfg)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("bad voltage map: ")
+
+
+@pytest.mark.parametrize(
+    "argv, name, content",
+    [
+        (["verify", "q2b", "--config"], "cfg", b"out_dir=\xff\n"),
+        (["minimize"], "bad.pla", b".i 1\n.o 1\n\xff 1\n.e\n"),
+        (["metrics", "q2b", "--config"], "cfg", b"cost_table=\xff.json\n"),
+    ],
+    ids=["config", "pla", "config-key"],
+)
+def test_non_utf8_input_is_a_usage_error(capsys, tmp_path, argv, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {path}: 'utf-8' codec can't decode")
+
+
+def test_non_utf8_json_is_a_usage_error(capsys, tmp_path):
+    costs = tmp_path / "costs.json"
+    costs.write_bytes(b'{"and2": 6\xff}')
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"cost_table={costs}\n")
+    code, out, err = run_cli(capsys, "metrics", "q2b", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {costs}: 'utf-8' codec can't decode")
+
+
+def test_non_utf8_strict_stdin_is_a_usage_error(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b".i 1\n.o 1\n\xff 1\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(capsys, "minimize", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot read -: 'utf-8' codec can't decode")
+
+
+def test_path_the_os_rejects_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("out_dir=a\0b\n")
+    code, out, err = run_cli(
+        capsys, "sim", "q2b", "--csv", "x.csv", "--config", str(cfg)
+    )
+    assert (code, out) == (2, "")
+    assert err == "cannot write a\0b/x.csv: embedded null byte\n"
+    code, out, err = run_cli(capsys, "minimize", "a\0b.pla")
+    assert (code, out) == (2, "")
+    assert err == "cannot read a\0b.pla: embedded null byte\n"
+
+
+def test_io_errors_name_the_path(capsys, tmp_path):
+    missing = tmp_path / "none"
+    code, _, err = run_cli(capsys, "verify", "all", "--config", str(missing))
+    assert code == 3
+    assert err.startswith(f"cannot read {missing}: [Errno 2]")
+    dest = tmp_path / "no" / "x.vcd"
+    code, _, err = run_cli(capsys, "sim", "q2b", "--vcd", str(dest))
+    assert code == 3
+    assert err.startswith(f"cannot write {dest}: [Errno 2]")
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
@@ -480,8 +564,15 @@ def test_broken_pipe_exits_io_without_traceback(capsys, monkeypatch, argv):
     assert main(argv) == 3
 
 
-@pytest.mark.parametrize("buffered", [False, True])
-def test_broken_pipe_subprocess(buffered):
+@pytest.mark.parametrize(
+    "argv, buffered",
+    [
+        pytest.param(["metrics", "all"], False, id="False"),
+        pytest.param(["metrics", "all"], True, id="True"),
+        pytest.param(["sim", "mod4-add"], False, id="sim-unbuffered"),
+    ],
+)
+def test_broken_pipe_subprocess(argv, buffered):
     # the reader is gone before mvq starts, so its first write to stdout fails
     # (unbuffered) or its flush does (buffered)
     env = dict(os.environ)
@@ -492,7 +583,7 @@ def test_broken_pipe_subprocess(buffered):
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "mvq.cli", "metrics", "all"],
+            [sys.executable, "-m", "mvq.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,

@@ -103,6 +103,12 @@ def test_trace_rectangular_check():
         Trace((("a", B),), ((0, 1),))
 
 
+@pytest.mark.parametrize("step", [0, -1])
+def test_trace_step_duration_at_least_one(step):
+    with pytest.raises(ValueError, match="step_duration"):
+        Trace((("a", B),), ((0,), (1,)), step)
+
+
 def test_trace_column():
     nl = build_q2b()
     trace = run(nl, sweep_all(nl))
@@ -158,6 +164,21 @@ def test_parse_csv_errors():
             parse_csv(f"time,a\n0,{level}\n", {"a": B})
 
 
+def test_parse_csv_rejects_a_repeated_column():
+    with pytest.raises(ValueError, match="repeated column"):
+        parse_csv("time,a,a\n0,0,1\n", {"a": B})
+
+
+@pytest.mark.parametrize(
+    "times",
+    ["9,2", "0,5,7", "3,3", "0,0", "0,-1", "5", "0,+1", "0,1,02", "0,\u0663"],
+)
+def test_parse_csv_time_column_counts_whole_steps(times):
+    text = "time,a\n" + "".join(f"{t},1\n" for t in times.split(","))
+    with pytest.raises(ValueError):
+        parse_csv(text, {"a": B})
+
+
 def test_voltage_view_defaults():
     nl = build_q2b()
     text = voltage_view(run(nl, sweep_all(nl)))
@@ -179,6 +200,20 @@ def test_voltage_map_validation():
     assert text.splitlines()[2] == "1,0.5,0.0,1.5"
 
 
+@pytest.mark.parametrize(
+    "vmap",
+    [
+        {"quat": (0.0, 1.0, float("nan"), 3.0)},
+        {"bin": (0.0, float("inf"))},
+        {"bin": (float("-inf"), 0.0)},
+    ],
+    ids=["nan", "inf", "minus-inf"],
+)
+def test_voltage_map_rejects_non_finite_voltages(vmap):
+    with pytest.raises(ValueError, match="finite"):
+        VoltageMap(**vmap)
+
+
 def test_vcd_q2b_structure(vcd_check):
     nl = build_q2b()
     text = export_vcd(run(nl, sweep_all(nl)))
@@ -197,6 +232,14 @@ def test_vcd_constant_signal_dumped_once(vcd_check):
     # signals: a='!', k='"', y='#'; the constant only appears in $dumpvars
     body = text.split("$end\n")[-1]
     assert '"' not in body
+
+
+def test_vcd_identifiers_follow_position_not_name(vcd_check):
+    trace = Trace((("a", B), ("a", B)), ((0, 1), (1, 0)))
+    text = export_vcd(trace)
+    widths, times = vcd_check(text)
+    assert list(widths) == ["!", '"'] and times == [0, 1]
+    assert text.endswith("#1\n1!\n0\"\n")
 
 
 def test_vcd_identifiers_past_94_signals(vcd_check):
