@@ -1,9 +1,11 @@
 """Gate-level builders for the quaternary arithmetic circuit catalog.
 
 Every builder returns a validated Netlist and is checked exhaustively against
-the reference tables in arith_core. Circuits operating on the 2-bit encoding expose
-binary ports named x1,x2[,y1,y2] (msb first); fully quaternary circuits expose
-x[,y] and q. The catalog covers both converter directions, the five mod-4
+arith_core, each row read in quaternary terms (a binary msb/lsb pair through
+decode_b2q): an operation circuit against apply_op, a converter as the
+identity on 0..3. Circuits operating on the 2-bit encoding expose binary
+ports named x1,x2[,y1,y2] (msb first); fully quaternary circuits expose x[,y]
+and q. The catalog covers both converter directions, the five mod-4
 operations, GF(4) addition, and two structurally different GF(4) multipliers.
 """
 
@@ -14,7 +16,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from .arith_core import OpKind, apply_op, decode_b2q, encode_q2b
+from .arith_core import OpKind, apply_op, decode_b2q
 from .netlist import GateKind, Metrics, Netlist, NetlistError, SignalType
 
 _B = SignalType.BIN
@@ -292,19 +294,6 @@ class VerifyResult:
     counterexample: str | None = None
 
 
-# the converters' references, in their own port terms
-_CONVERTER_REFS: dict[str, Callable[..., object]] = {
-    "q2b": lambda q: tuple(encode_q2b(q)),
-    "b2q": lambda x1, x2: decode_b2q((x1, x2)),
-}
-
-
-def _port_terms(
-    ports: tuple[tuple[str, SignalType], ...], levels: tuple[int, ...]
-) -> list[tuple[str, int]]:
-    return [(name, lv) for (name, _), lv in zip(ports, levels)]
-
-
 def _quat_terms(
     ports: tuple[tuple[str, SignalType], ...], levels: tuple[int, ...]
 ) -> list[tuple[str, int]]:
@@ -324,18 +313,14 @@ def _quat_terms(
 
 
 def _verify_netlist(info: CircuitInfo, nl: Netlist) -> VerifyResult:
-    """Compare the netlist's truth table with the reference row by row. The
-    converters are read in port terms; the operation circuits in quaternary
-    terms, against apply_op."""
-    if info.op is None:
-        ref, terms = _CONVERTER_REFS[info.cid], _port_terms
-    else:
-        ref, terms = functools.partial(apply_op, info.op), _quat_terms
+    """Compare the netlist's truth table with the reference row by row, inputs
+    and outputs read in quaternary terms: an operation circuit against
+    apply_op, a converter against the identity."""
+    ref = (lambda q: q) if info.op is None else functools.partial(apply_op, info.op)
     tt = nl.truth_table()
     for ins, outs in tt.rows:
-        args = terms(tt.inputs, ins)
-        got_terms = [lv for _, lv in terms(tt.outputs, outs)]
-        got = got_terms[0] if len(got_terms) == 1 else tuple(got_terms)
+        args = _quat_terms(tt.inputs, ins)
+        [(_, got)] = _quat_terms(tt.outputs, outs)
         want = ref(*(lv for _, lv in args))
         if got != want:
             where = " ".join(f"{name}={lv}" for name, lv in args)

@@ -2,9 +2,9 @@
 simulation, and circuit comparison over the registry.
 
 Exit codes: 0 success/equal/verified; 1 verification, audit, or comparison
-failure; 2 usage, config, or parse error, including input that is not UTF-8
-and a path the OS rejects; 3 I/O error, including a reader that closes stdout
-early.
+failure; 2 usage, config, or parse error, including input that is not UTF-8,
+a path the OS rejects and output stdout cannot encode; 3 I/O error, including
+a reader that closes stdout early.
 
 Subcommands return 0 or 1 and raise for any other outcome; `main` alone
 prints a failure and picks exit code 2 or 3. Every file is read through
@@ -71,8 +71,8 @@ def _read_text(path: str) -> str:
             return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from None
+    except OSError as exc:  # the cause tells load_config a file is missing
+        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
     except ValueError as exc:  # not UTF-8, or a path open() rejects
         raise CliError(f"cannot read {path}: {exc}") from None
 
@@ -140,12 +140,14 @@ def load_config(path: str | None) -> Config:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in _FILE_KEYS:
             field, loader = _FILE_KEYS[key]
-            if not os.path.exists(value):
+            try:
+                setattr(cfg, field, loader(value))
+            except CliError as exc:
+                if not isinstance(exc.__cause__, FileNotFoundError):
+                    raise
                 label = key.replace("_", " ")
                 print(f"warning: {label} {value!r} not found; using defaults",
                       file=sys.stderr)
-                continue
-            setattr(cfg, field, loader(value))
         elif key == "out_dir":
             cfg.out_dir = value
         else:
@@ -389,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return EXIT_IO
+    except UnicodeEncodeError as exc:  # stdout cannot encode the output
+        print(f"cannot write -: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CliError as exc:
         print(exc, file=sys.stderr)
         return exc.code

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith_core import BitPair, OpKind, apply_op, bitwise_formula, encode_q2b
 
@@ -52,10 +52,14 @@ class UnsupportedFeature(Exception):
 @dataclass(frozen=True)
 class TruthTableSpec:
     """Single-output table over named variables; row index treats variable 0
-    as the most significant bit. Outputs are 0, 1, or '-' (don't care)."""
+    as the most significant bit. Outputs are 0, 1, or '-' (don't care).
+    `on` and `dc` are the rows whose output is 1 and '-', bit i for row i;
+    they are derived from `outputs`, so equality and repr ignore them."""
 
     names: tuple[str, ...]
     outputs: tuple[int | str, ...]
+    on: int = field(init=False, repr=False, compare=False)
+    dc: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.names)
@@ -67,9 +71,16 @@ class TruthTableSpec:
             raise ValueError(
                 f"need {2 ** n} output entries, got {len(self.outputs)}"
             )
-        for v in self.outputs:
-            if v not in (0, 1, DC):
+        on = dc = 0
+        for i, v in enumerate(self.outputs):
+            if v == 1:
+                on |= 1 << i
+            elif v == DC:
+                dc |= 1 << i
+            elif v != 0:
                 raise ValueError(f"bad output value {v!r}")
+        object.__setattr__(self, "on", on)
+        object.__setattr__(self, "dc", dc)
 
     @property
     def n_vars(self) -> int:
@@ -110,17 +121,6 @@ def _cube_rows(care: int, value: int, n: int) -> int:
         if care >> b & 1:
             rows &= ones if value >> b & 1 else ~ones
     return rows
-
-
-def _row_masks(outputs: tuple[int | str, ...]) -> tuple[int, int]:
-    """The on-set and don't-care rows of a table."""
-    on = dc = 0
-    for i, v in enumerate(outputs):
-        if v == 1:
-            on |= 1 << i
-        elif v == DC:
-            dc |= 1 << i
-    return on, dc
 
 
 def _sop_rows(cubes: tuple[str, ...], n: int) -> int:
@@ -180,9 +180,8 @@ class SopExpr:
 def prime_implicants(spec: TruthTableSpec) -> tuple[str, ...]:
     """All prime implicants of on ∪ dc that cover at least one on-set row."""
     n = spec.n_vars
-    on, dc = _row_masks(spec.outputs)
     full = (1 << n) - 1
-    current = {(full, i) for i in _set_bits(on | dc)}
+    current = {(full, i) for i in _set_bits(spec.on | spec.dc)}
     primes: set[tuple[int, int]] = set()
     while current:
         # two cubes merge when they share a care mask and differ in one value bit
@@ -200,7 +199,7 @@ def prime_implicants(spec: TruthTableSpec) -> tuple[str, ...]:
     useful = [
         _cube_str(care, value, n)
         for care, value in primes
-        if _cube_rows(care, value, n) & on
+        if _cube_rows(care, value, n) & spec.on
     ]
     return tuple(sorted(useful, key=_cube_key))
 
@@ -210,7 +209,7 @@ def minimize_exact(spec: TruthTableSpec) -> SopExpr:
     smallest cube list under the rank order (total tie-break)."""
     n = spec.n_vars
     primes = prime_implicants(spec)
-    on, _ = _row_masks(spec.outputs)
+    on = spec.on
     if not on:
         return SopExpr(n, ())
     # primes come sorted by rank, so a cover is an int with bit k for primes[k]
@@ -258,15 +257,11 @@ def minimize_exact(spec: TruthTableSpec) -> SopExpr:
 
 
 def check_equiv(e: SopExpr, spec: TruthTableSpec) -> bool:
-    """Exhaustive comparison on every non-dc row."""
-    if e.n_vars != spec.n_vars:
-        return False
-    for i, want in enumerate(spec.outputs):
-        if want == DC:
-            continue
-        if e.evaluate(spec.row_bits(i)) != want:
-            return False
-    return True
+    """Whether e has the table's arity and, on every row that is not a don't
+    care, the table's output: the rows e covers, outside spec.dc, are exactly
+    spec.on."""
+    n = spec.n_vars
+    return e.n_vars == n and _sop_rows(e.cubes, n) & ~spec.dc == spec.on
 
 
 def render_cube(cube: str, names: tuple[str, ...]) -> str:

@@ -282,6 +282,15 @@ def test_verify_catches_swapped_converter_outputs():
     n.connect_output("x1", n.add_gate(GateKind.NOT, [mux]))
     res = circuits._verify_netlist(REGISTRY["q2b"], n)
     assert not res.ok
+    assert res.counterexample == "q=1: got 2, want 1"  # q=1 leaves as 10
+
+
+def test_verify_catches_swapped_b2q_inputs():
+    # x=1 arrives as x1=0, x2=1 and leaves as 2
+    n = Netlist([("x1", B), ("x2", B)], [("q", Q)])
+    n.connect_output("q", n.add_gate(GateKind.B2Q, [n.input_net("x2"), n.input_net("x1")]))
+    res = circuits._verify_netlist(REGISTRY["b2q"], n)
+    assert res.counterexample == "x=1: got 2, want 1"
 
 
 def test_published_totals():

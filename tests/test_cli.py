@@ -510,6 +510,16 @@ def test_path_the_os_rejects_is_a_usage_error(capsys, tmp_path):
     assert err == "cannot read a\0b.pla: embedded null byte\n"
 
 
+@pytest.mark.parametrize("key", ["cost_table", "voltage_map"])
+def test_config_file_key_the_os_rejects_is_a_usage_error(capsys, tmp_path, key):
+    # only a file that does not exist falls back to the defaults
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"{key}=a\0b\n")
+    code, out, err = run_cli(capsys, "metrics", "q2b", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "cannot read a\0b: embedded null byte\n"
+
+
 def test_io_errors_name_the_path(capsys, tmp_path):
     missing = tmp_path / "none"
     code, _, err = run_cli(capsys, "verify", "all", "--config", str(missing))
@@ -594,3 +604,19 @@ def test_broken_pipe_subprocess(argv, buffered):
         os.close(write_end)
     assert proc.returncode == 3
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("xor", [[], ["--xor"]], ids=["sop", "xor"])
+def test_unencodable_stdout_subprocess(tmp_path, xor):
+    pla = tmp_path / "e.pla"
+    pla.write_text(".i 1\n.o 1\n.ilb \u00e9\n1 1\n.e\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvq.cli", "minimize", str(pla), *xor],
+        capture_output=True,
+        env=dict(os.environ, PYTHONIOENCODING="ascii"),
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("cannot write -: 'ascii' codec can't encode")
+    assert proc.stderr.count("\n") == 1

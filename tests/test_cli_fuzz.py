@@ -137,6 +137,8 @@ NAN_VOLTS = b'{"quat": [0, 1, NaN, 3], "bin": [0, Infinity]}'
 @example(["minimize", PLA], {PLA: b".i 1\n.o 1\n\xff 1\n.e\n"}, b"", 2)
 @example(["minimize", "-"], {}, b".i 1\n.o 1\n\xff 1\n.e\n", 2)
 @example(["sim", "q2b", "--csv", "x.csv", "--config", CFG], {CFG: b"out_dir=a\x00b\n"}, b"", 2)
+@example(["metrics", "q2b", "--config", CFG], {CFG: b"cost_table=a\x00b\n"}, b"", 2)
+@example(["metrics", "q2b", "--config", CFG], {CFG: b"voltage_map=a\x00b\n"}, b"", 2)
 @example(
     ["sim", "q2b", "--volts", "--config", CFG],
     {CFG: f"voltage_map={VOLTS}\n".encode(), VOLTS: BOOL_VOLTS}, b"", 2,

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from mvq.minimizer import (
     DC,
     ParseError,
+    SopExpr,
     TruthTableSpec,
+    check_equiv,
     default_names,
     minimize_exact,
     parse_pla,
@@ -100,6 +102,66 @@ def test_prime_implicants_match_the_definition(spec):
 @given(tables(4))
 def test_minimize_exact_is_the_brute_force_minimum(spec):
     assert minimize_exact(spec).cubes == brute_min_cover(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(6))
+def test_spec_masks_are_the_on_and_dc_rows(spec):
+    assert spec.on == sum(1 << i for i, v in enumerate(spec.outputs) if v == 1)
+    assert spec.dc == sum(1 << i for i, v in enumerate(spec.outputs) if v == DC)
+    twin = TruthTableSpec(spec.names, tuple(list(spec.outputs)))
+    assert twin == spec and hash(twin) == hash(spec)
+    assert repr(twin) == f"TruthTableSpec(names={spec.names!r}, outputs={spec.outputs!r})"
+
+
+def test_spec_masks_are_not_constructor_arguments():
+    with pytest.raises(TypeError):
+        TruthTableSpec(("a",), (0, 1), 2, 0)
+
+
+def equiv_by_rows(e, spec):
+    """check_equiv's reference: e's value on every row that is not a don't
+    care, one row at a time."""
+    return e.n_vars == spec.n_vars and all(
+        e.evaluate(spec.row_bits(i)) == want
+        for i, want in enumerate(spec.outputs)
+        if want != DC
+    )
+
+
+def covers(a, b):
+    return all(x == DC or x == y for x, y in zip(a, b))
+
+
+@st.composite
+def cube_lists(draw, n):
+    """Random cubes, each dropped when it covers, or lies in, one already kept."""
+    kept = []
+    for cube in draw(st.lists(st.text("01-", min_size=n, max_size=n), max_size=6)):
+        if not any(covers(cube, k) or covers(k, cube) for k in kept):
+            kept.append(cube)
+    return tuple(kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(6), st.data())
+def test_check_equiv_matches_a_per_row_reference(spec, data):
+    n = spec.n_vars
+    # Petrick can take seconds on a dense 6-variable table
+    if n <= 5 and data.draw(st.booleans(), label="minimized"):
+        e = minimize_exact(spec)
+        assert check_equiv(e, spec)
+        # the same cover against the table with one row flipped: a near miss
+        # whenever that row is not a don't care
+        row = data.draw(st.integers(0, 2 ** n - 1), label="row")
+        flipped = list(spec.outputs)
+        flipped[row] = {0: 1, 1: 0, DC: DC}[flipped[row]]
+        near = TruthTableSpec(spec.names, tuple(flipped))
+        assert check_equiv(e, near) == (spec.outputs[row] == DC)
+        assert equiv_by_rows(e, near) == check_equiv(e, near)
+    else:
+        e = SopExpr(n, data.draw(cube_lists(n), label="cubes"))
+    assert check_equiv(e, spec) == equiv_by_rows(e, spec)
 
 
 def reference_parse(n, rows):
