@@ -1,19 +1,24 @@
 """Stimulus sweeps over netlists with CSV and VCD trace export.
 
 Steps are purely combinational: each one is independent of the others, so
-traces are rectangular tables of levels over time. `run` evaluates all steps
-of a stimulus at once through the netlist's bit-parallel table kernel; row i
-still equals `Netlist.evaluate(steps[i])`, but is no longer computed that
-way. Exports are byte deterministic for a fixed trace. Quaternary signals
-appear in VCD as 2-bit vectors under the natural encoding, binary signals as
-scalars.
+traces are rectangular tables of levels over time. Stimuli and traces are
+held as columns, one per port or signal with one level per step: `sweep_all`
+passes on the netlist's exhaustive input columns, `run` evaluates every step
+at once through the bit-parallel table kernel, and the exporters write their
+text from the columns. The per-step views, `Stimulus.steps` and `Trace.rows`,
+are derived when first read; row i still equals `Netlist.evaluate(steps[i])`,
+but is not computed that way. Exports are byte deterministic for a fixed
+trace. Quaternary signals appear in VCD as 2-bit vectors under the natural
+encoding, binary signals as scalars.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .netlist import Netlist, NetlistError, SignalType
 
@@ -22,34 +27,120 @@ class PortMismatch(NetlistError):
     pass
 
 
-@dataclass(frozen=True)
 class Stimulus:
-    """Ordered input assignments; each step must assign every input port."""
+    """Ordered input assignments; each step must assign every input port.
+    Held as `columns`, one level column per assigned port keyed by its name,
+    over `n_steps` steps; `steps` reads them back one mapping per step."""
 
-    steps: tuple[Mapping[str, int], ...]
-    step_duration: int = 1
+    def __init__(self, steps: Iterable[Mapping[str, int]], step_duration: int = 1) -> None:
+        steps = tuple(steps)
+        ports = steps[0].keys() if steps else set()
+        stray = next((s.keys() for s in steps if s.keys() != ports), None)
+        # the port sets run() checks, in step order: the first step's, then
+        # that of the first step assigning other ports, if any; with such a
+        # step the stimulus runs on no netlist, so it gets no columns
+        self._assigned = () if not steps else (ports,) if stray is None else (ports, stray)
+        self.columns: Mapping[str, Sequence[int]] = (
+            {n: tuple(s[n] for s in steps) for n in ports} if stray is None else {}
+        )
+        self.n_steps = len(steps)
+        self.step_duration = step_duration
+        self._steps: tuple[Mapping[str, int], ...] | None = steps
+
+    @classmethod
+    def _of_columns(cls, columns: Mapping[str, bytes], n_steps: int) -> Stimulus:
+        stim = cls.__new__(cls)
+        stim.columns, stim.n_steps, stim.step_duration = columns, n_steps, 1
+        stim._assigned = (columns.keys(),) if n_steps else ()
+        stim._steps = None
+        return stim
+
+    @property
+    def steps(self) -> tuple[Mapping[str, int], ...]:
+        if self._steps is None:
+            names = list(self.columns)
+            rows = zip(*self.columns.values()) if names else [()] * self.n_steps
+            self._steps = tuple(dict(zip(names, row)) for row in rows)
+        return self._steps
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Stimulus):
+            return NotImplemented
+        return (self.steps, self.step_duration) == (other.steps, other.step_duration)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Stimulus(steps={self.steps!r}, step_duration={self.step_duration!r})"
 
 
-@dataclass(frozen=True)
+def _level_column(values: Sequence[int], name: str, sig: SignalType) -> bytes:
+    """values as a bytes column; ValueError unless each is an int level of sig."""
+    if type(values) is bytes or set(map(type, values)) <= {int}:
+        try:
+            col = bytes(values)
+        except ValueError:  # an int outside 0..255
+            col = b"\xff"
+        if max(col, default=0) < sig.levels:
+            return col
+    bad = next(v for v in values if type(v) is not int or not 0 <= v < sig.levels)
+    raise ValueError(f"signal {name!r}: {bad!r} is not a {sig.value} level")
+
+
+@dataclass(frozen=True, init=False)
 class Trace:
-    """Rectangular level recording: one row per step covering every signal
-    (inputs first, then outputs, in port declaration order)."""
+    """Rectangular level recording over `signals` (inputs first, then
+    outputs, in port declaration order), held as `columns`, one bytes column
+    per signal with one level per step, over `n_steps` steps. `rows` reads
+    it back one tuple of levels per step."""
 
     signals: tuple[tuple[str, SignalType], ...]
-    rows: tuple[tuple[int, ...], ...]
+    columns: tuple[bytes, ...]
+    n_steps: int
     step_duration: int = 1
 
-    def __post_init__(self) -> None:
-        if self.step_duration < 1:
+    def __init__(
+        self,
+        signals: Iterable[tuple[str, SignalType]],
+        rows: Iterable[Sequence[int]],
+        step_duration: int = 1,
+    ) -> None:
+        signals, rows = tuple(signals), tuple(rows)
+        if any(len(row) != len(signals) for row in rows):
+            raise ValueError("trace rows must cover every signal")
+        columns = zip(*rows) if rows else [()] * len(signals)
+        self._init(signals, columns, len(rows), step_duration)
+
+    @classmethod
+    def _of_columns(
+        cls,
+        signals: tuple[tuple[str, SignalType], ...],
+        columns: Iterable[Sequence[int]],
+        n_steps: int,
+        step_duration: int,
+    ) -> Trace:
+        trace = cls.__new__(cls)
+        trace._init(signals, columns, n_steps, step_duration)
+        return trace
+
+    def _init(self, signals, columns, n_steps, step_duration) -> None:
+        if step_duration < 1:
             raise ValueError("step_duration must be at least 1")
-        for row in self.rows:
-            if len(row) != len(self.signals):
-                raise ValueError("trace rows must cover every signal")
+        columns = tuple(_level_column(c, name, sig) for (name, sig), c in zip(signals, columns))
+        for field, value in zip(
+            ("signals", "columns", "n_steps", "step_duration"),
+            (signals, columns, n_steps, step_duration),
+        ):
+            object.__setattr__(self, field, value)
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.columns)) if self.columns else ((),) * self.n_steps
 
     def column(self, name: str) -> tuple[int, ...]:
-        for idx, (sig_name, _) in enumerate(self.signals):
+        for (sig_name, _), col in zip(self.signals, self.columns):
             if sig_name == name:
-                return tuple(row[idx] for row in self.rows)
+                return tuple(col)
         raise KeyError(name)
 
 
@@ -79,8 +170,7 @@ def sweep_all(nl: Netlist) -> Stimulus:
     slowest-varying."""
     columns = nl._exhaustive_columns()
     names = [name for name, _ in nl.input_ports]
-    rows = zip(*columns) if columns else [()]
-    return Stimulus(tuple(dict(zip(names, row)) for row in rows))
+    return Stimulus._of_columns(dict(zip(names, columns)), len(columns[0]) if columns else 1)
 
 
 def run(nl: Netlist, stim: Stimulus) -> Trace:
@@ -89,35 +179,80 @@ def run(nl: Netlist, stim: Stimulus) -> Trace:
     nl.validate()
     in_names = [name for name, _ in nl.input_ports]
     ports = set(in_names)
-    for step in stim.steps:
-        if step.keys() != ports:
+    for assigned in stim._assigned:
+        if assigned != ports:
             raise PortMismatch(
-                f"step assigns {sorted(step)}, ports are {sorted(in_names)}"
+                f"step assigns {sorted(assigned)}, ports are {sorted(in_names)}"
             )
-    columns = [[step[n] for step in stim.steps] for n in in_names]
-    columns += nl._eval_columns(columns, len(stim.steps))
-    rows = tuple(zip(*columns)) if columns else ((),) * len(stim.steps)
-    signals = nl.input_ports + nl.output_ports
-    return Trace(signals, rows, stim.step_duration)
+    n = stim.n_steps
+    columns = [stim.columns[name] for name in in_names] if n else [b""] * len(in_names)
+    columns += nl._eval_columns(columns, n)
+    return Trace._of_columns(nl.input_ports + nl.output_ports, columns, n, stim.step_duration)
+
+
+# a body byte that stands for nothing: it pads a text to its slot's width,
+# or fills a slot with nothing to say, and is removed before decoding
+_FILL = b"\0"
+
+
+def _slot_tables(texts: list[bytes]) -> list[bytes]:
+    """One translate table per byte of a slot: table k takes a column entry
+    v to byte k of texts[v], with each text padded with _FILL to the
+    longest."""
+    size = max(map(len, texts))
+    padded = (text.ljust(size, _FILL) for text in texts)
+    return [bytes(column).ljust(256, _FILL) for column in zip(*padded)]
+
+
+def _write_slot(body: bytearray, offset: int, width: int, col: bytes, tables: list[bytes]) -> int:
+    """Write the slot that tables render for each entry of col into the rows
+    of `width` bytes of body, from offset on; return the offset past it."""
+    for k, table in enumerate(tables):
+        body[offset + k :: width] = col.translate(table)
+    return offset + len(tables)
+
+
+def _put_times(head: str, body: bytearray, times: Iterable[int]) -> str:
+    """head, then body without its _FILL bytes and with each "\1" in it
+    replaced by the next of times, in decimal."""
+    parts = body.translate(None, _FILL).decode().split("\1")
+    pieces = [""] * (2 * len(parts) - 1)
+    pieces[0::2] = parts
+    pieces[1::2] = map(str, times)
+    pieces[0] = head + pieces[0]
+    return "".join(pieces)
+
+
+def _write_csv(trace: Trace, tables: Mapping[SignalType, list[bytes]]) -> str:
+    """The trace as CSV: a time column, then one column per signal, where
+    tables[t] (see _slot_tables) renders the cell of a type-t signal."""
+    n, signals = trace.n_steps, trace.signals
+    slots = [tables[sig] for _, sig in signals]
+    # a row of the body is "\1" for its time, then ',' and the slot of each
+    # signal, then '\n'; with no signals it is "\1,\n", as the row is still
+    # its time and a ','
+    width = max(2 + sum(map(len, slots)) + len(slots), 3)
+    body = bytearray(b",") * (n * width)
+    body[0::width] = b"\1" * n
+    body[width - 1 :: width] = b"\n" * n
+    offset = 2
+    for col, slot in zip(trace.columns, slots):
+        offset = _write_slot(body, offset, width, col, slot) + 1
+    names = ",".join(name for name, _ in signals)
+    times = range(0, n * trace.step_duration, trace.step_duration)
+    return _put_times(f"time,{names}\n", body, times)
 
 
 # every level's CSV cell, for any signal type
 _LEVEL_CELLS = ("0", "1", "2", "3")
-
-
-def _write_csv(trace: Trace, cells: list[tuple[str, ...]]) -> str:
-    """The trace as CSV: a time column, then one column per signal, where
-    cells[j][level] is signal j's rendered cell at that level."""
-    names = [name for name, _ in trace.signals]
-    lines = ["time," + ",".join(names)]
-    for i, row in enumerate(trace.rows):
-        t = i * trace.step_duration
-        lines.append(f"{t}," + ",".join(map(tuple.__getitem__, cells, row)))
-    return "\n".join(lines) + "\n"
+_LEVEL_TABLES = {
+    sig: _slot_tables([cell.encode() for cell in _LEVEL_CELLS[: sig.levels]])
+    for sig in SignalType
+}
 
 
 def export_csv(trace: Trace) -> str:
-    return _write_csv(trace, [_LEVEL_CELLS] * len(trace.signals))
+    return _write_csv(trace, _LEVEL_TABLES)
 
 
 def parse_csv(
@@ -181,6 +316,52 @@ def _vcd_value(sig: SignalType, level: int, ident: str) -> str:
     return f"{level}{ident}"
 
 
+# Tables for _write_slot over a marked column (a level, plus 4 where it
+# changed): an entry that did not change renders as nothing, a changed one
+# as its value for the signal type (_VCD_VALUES) or as byte c
+# (_WHEN_CHANGED[c]), which spell out its identifier and line end.
+_VCD_VALUES = {
+    sig: _slot_tables([b""] * 4 + [_vcd_value(sig, lv, "").encode() for lv in range(sig.levels)])
+    for sig in SignalType
+}
+_WHEN_CHANGED = [(_FILL * 4 + bytes((c,)) * 4).ljust(256, _FILL) for c in range(256)]
+# renders a row's any-change flag as its time line, "\1" standing for the time
+_VCD_TIME = _slot_tables([b"", b"#\1\n"])
+
+
+def _vcd_changes(trace: Trace, idents: list[str]) -> tuple[bytearray, Iterable[int]]:
+    """The value changes after time 0 as a body for _put_times, and its
+    times: per time, the lines of the signals whose level differs from the
+    step before, in declaration order."""
+    n = trace.n_steps - 1
+    if n < 1:
+        return bytearray(), ()
+    ones = int.from_bytes(b"\1" * n, "little")
+    # per signal and row: the level, plus 4 where it differs from the row before
+    marked = []
+    any_change = 0
+    for col in trace.columns:
+        now = int.from_bytes(col[1:], "little")
+        diff = now ^ int.from_bytes(col[:-1], "little")
+        changed = (diff | diff >> 1) & ones  # levels are < 4: 1 per changed row
+        any_change |= changed
+        marked.append((now + 4 * changed).to_bytes(n, "little"))
+    changed_rows = any_change.to_bytes(n, "little")
+    # row i-1 of the body is time i: its time line if any signal changed
+    # then, and per signal its value line if it changed
+    tables = [
+        _VCD_VALUES[sig] + [_WHEN_CHANGED[c] for c in f"{ident}\n".encode()]
+        for (_, sig), ident in zip(trace.signals, idents)
+    ]
+    width = len(_VCD_TIME) + sum(map(len, tables))
+    body = bytearray(n * width)
+    offset = _write_slot(body, 0, width, changed_rows, _VCD_TIME)
+    for col, col_tables in zip(marked, tables):
+        offset = _write_slot(body, offset, width, col, col_tables)
+    step = trace.step_duration
+    return body, itertools.compress(range(step, (n + 1) * step, step), changed_rows)
+
+
 def export_vcd(trace: Trace, timescale: str = "1 ns") -> str:
     """Value-change dump: full dump at time 0, then change-only emission."""
     out = [
@@ -193,36 +374,22 @@ def export_vcd(trace: Trace, timescale: str = "1 ns") -> str:
         out.append(f"$var wire {width} {ident} {name} $end")
     out.append("$upscope $end")
     out.append("$enddefinitions $end")
-    prev: tuple[int, ...] | None = None
-    for i, row in enumerate(trace.rows):
-        t = i * trace.step_duration
-        if prev is None:
-            out.append("#0")
-            out.append("$dumpvars")
-            for (_, sig), level, ident in zip(trace.signals, row, idents):
-                out.append(_vcd_value(sig, level, ident))
-            out.append("$end")
-        else:
-            changes = [
-                _vcd_value(sig, level, ident)
-                for (_, sig), ident, level, old in zip(
-                    trace.signals, idents, row, prev
-                )
-                if level != old
-            ]
-            if changes:
-                out.append(f"#{t}")
-                out.extend(changes)
-        prev = row
-    return "\n".join(out) + "\n"
+    if trace.n_steps:
+        out.append("#0")
+        out.append("$dumpvars")
+        for (_, sig), col, ident in zip(trace.signals, trace.columns, idents):
+            out.append(_vcd_value(sig, col[0], ident))
+        out.append("$end")
+    out.append("")
+    return _put_times("\n".join(out), *_vcd_changes(trace, idents))
 
 
 def voltage_view(trace: Trace, vmap: VoltageMap | None = None) -> str:
     """CSV like export_csv with levels rendered as voltages (1 decimal)."""
     if vmap is None:
         vmap = VoltageMap()
-    cells = [
-        tuple(f"{vmap.volts(sig, level):.1f}" for level in range(sig.levels))
-        for _, sig in trace.signals
-    ]
-    return _write_csv(trace, cells)
+    tables = {
+        sig: _slot_tables([f"{vmap.volts(sig, lv):.1f}".encode() for lv in range(sig.levels)])
+        for sig in SignalType
+    }
+    return _write_csv(trace, tables)

@@ -33,6 +33,14 @@ def test_sweep_counts():
     assert sweep_all(const).steps == ({},)
 
 
+def test_sweep_carries_the_exhaustive_byte_columns():
+    nl = REGISTRY["mod4-neg"].build()
+    stim = sweep_all(nl)
+    assert stim.columns == {"x1": bytes([0, 0, 1, 1]), "x2": bytes([0, 1, 0, 1])}
+    assert stim.n_steps == 4
+    assert stim == Stimulus(stim.steps)
+
+
 def test_sweep_order_first_port_slowest():
     stim = sweep_all(REGISTRY["mod4-neg"].build())
     assert [tuple(s.values()) for s in stim.steps] == [
@@ -79,6 +87,16 @@ def test_run_port_mismatch():
         run(nl, Stimulus(({"x1": 0, "x2": 0, "zz": 1},)))
 
 
+def test_run_port_mismatch_names_the_first_stray_step():
+    nl = REGISTRY["mod4-neg"].build()
+    with pytest.raises(PortMismatch, match=r"^step assigns \['x1'\], ports are \['x1', 'x2'\]$"):
+        run(nl, Stimulus(({"x1": 0},)))
+    # step 0 fits the netlist; step 2 is the first that does not
+    steps = ({"x1": 0, "x2": 0}, {"x1": 1, "x2": 0}, {"x2": 1, "zz": 0}, {"x1": 0})
+    with pytest.raises(PortMismatch, match=r"^step assigns \['x2', 'zz'\], ports"):
+        run(nl, Stimulus(steps))
+
+
 def test_run_equals_truth_table_for_every_circuit():
     for cid in CIRCUIT_IDS:
         nl = REGISTRY[cid].build()
@@ -107,6 +125,37 @@ def test_trace_rectangular_check():
 def test_trace_step_duration_at_least_one(step):
     with pytest.raises(ValueError, match="step_duration"):
         Trace((("a", B),), ((0,), (1,)), step)
+
+
+BAD_TRACES = [
+    ((("a", B), ("q", Q)), ((7, 9), (0, -1), (True, 2))),
+    ((("a", B),), ((2,),)),
+    ((("q", Q),), ((4,),)),
+    ((("q", Q),), ((-1,),)),
+    ((("q", Q),), ((256,),)),
+    ((("a", B),), ((0,), (True,))),
+    ((("a", B),), ((1.0,),)),
+    ((("q", Q),), (("3",),)),
+    ((("q", Q),), ((None,),)),
+]
+
+
+@pytest.mark.parametrize("signals, rows", BAD_TRACES)
+@pytest.mark.parametrize("export", [export_csv, export_vcd, voltage_view])
+def test_trace_rejects_a_level_its_signal_does_not_have(signals, rows, export):
+    # no exporter can be handed such a trace: it cannot be made
+    with pytest.raises(ValueError, match="is not a (bin|quat) level"):
+        export(Trace(signals, rows))
+
+
+def test_trace_equality_reads_the_columns():
+    nl = build_q2b()
+    trace = run(nl, sweep_all(nl))
+    same = Trace(trace.signals, list(map(list, trace.rows)))
+    assert same == trace and hash(same) == hash(trace)
+    assert same.columns == trace.columns == (b"\0\1\2\3", b"\0\0\1\1", b"\0\1\0\1")
+    assert trace != Trace(trace.signals, trace.rows, step_duration=2)
+    assert trace.rows is trace.rows
 
 
 def test_trace_column():
