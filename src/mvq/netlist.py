@@ -6,28 +6,33 @@ the one install path, used by `add_gate` and `from_json`. Evaluation walks the
 topological order `validate` caches until the next construction call, which
 is single-context only.
 
+A level is an exact `int` (no `bool` or other subclass) in 0..levels-1 of
+its signal type; `_level_column` checks that rule wherever levels come in
+from outside, and nowhere else.
+
 `evaluate` is the single-vector reference: one row, one dict of levels.
 Whole tables (`truth_table`, and `sim.run` for any stimulus) go through one
 bit-parallel kernel instead ("parallel pattern" simulation, Waicukauski et
-al. 1985): each net is a pair of Python ints (hi, lo) whose bit r is row r,
-under the natural encoding level = 2*hi + lo (binary nets keep hi = 0), and
-every gate is a few big-int operations over all rows at once. Row i of a
-table equals evaluate() of its inputs but is not computed that way.
+al. 1985) on checked bytes columns, one level per byte: each net is a pair
+of Python ints (hi, lo) whose bit r is row r, under the natural encoding
+level = 2*hi + lo (binary nets keep hi = 0), and every gate is a few big-int
+operations over all rows at once. A `TruthTable` holds the kernel's columns;
+its row i equals evaluate() of its inputs but is not computed that way.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-# The largest exhaustive table, bounded by memory: truth_table, sim.run and
-# the three trace exports of a 2^16-row, 40-gate netlist (32 traced signals)
-# peak at 100 MB RSS (getrusage, fresh CPython 3.11 process), 30 MB of it
-# there before the first table. The rest grows about linearly with the rows
-# (46 MB peak at 2^14, 63 MB at 2^15), so 2^18 rows would need some 300 MB.
+# The largest exhaustive table, bounded by memory. Peak RSS of a 2^16-row,
+# 40-gate, 32-port netlist (getrusage, fresh CPython 3.11, 31 MB before the
+# first table): truth_table 32 MB, 59 MB once .rows is read; with sim.run and
+# the three trace exports 75 MB (100 MB with row tuples). That grows about
+# linearly with the rows (41 MB at 2^14, 52 MB at 2^15): some 210 MB at 2^18.
 MAX_TABLE_STATES = 2 ** 16
 
 
@@ -228,7 +233,7 @@ class MissingAssignment(NetlistError):
     pass
 
 
-class LevelOutOfRange(NetlistError):
+class LevelOutOfRange(NetlistError, ValueError):
     pass
 
 
@@ -268,26 +273,35 @@ class Metrics:
 
 @dataclass(frozen=True)
 class TruthTable:
+    """Input then output columns (bytes, a level per row); `rows` reads them
+    back as one (input levels, output levels) pair per row."""
+
     inputs: tuple[tuple[str, SignalType], ...]
     outputs: tuple[tuple[str, SignalType], ...]
-    rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    columns: tuple[bytes, ...]
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        k, n = len(self.inputs), len(self.columns[0]) if self.columns else 1
+        ins, outs = self.columns[:k], self.columns[k:]
+        return tuple(zip(zip(*ins) if ins else [()] * n, zip(*outs) if outs else [()] * n))
 
 
-def _check_level(value: int, sig: SignalType, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise LevelOutOfRange(f"{what}: expected int, got {value!r}")
-    if not 0 <= value < sig.levels:
-        raise LevelOutOfRange(f"{what}: {value} out of range for {sig.value}")
-
-
-def _check_column(column: Sequence[int], sig: SignalType, what: str) -> None:
-    """_check_level on every entry; one pass of min/max when all are ints."""
-    if set(map(type, column)) <= {int} and (
-        not column or (min(column) >= 0 and max(column) < sig.levels)
-    ):
-        return
-    for value in column:
-        _check_level(value, sig, what)
+def _level_column(values: Iterable[int], sig: SignalType, what: str) -> bytes:
+    """values as a bytes column, one level per byte; LevelOutOfRange names
+    the first that is not an int (exactly) in 0..sig.levels-1. A bytes column
+    is checked by one translate."""
+    if type(values) is bytes:
+        if not values.translate(None, bytes(range(sig.levels))):
+            return values
+    else:
+        values = tuple(values)
+        if set(map(type, values)) <= {int} and (
+            0 <= min(values, default=0) and max(values, default=0) < sig.levels
+        ):
+            return bytes(values)
+    bad = next(v for v in values if type(v) is not int or not 0 <= v < sig.levels)
+    raise LevelOutOfRange(f"{what}: {bad!r} is not a {sig.value} level")
 
 
 class Netlist:
@@ -381,7 +395,7 @@ class Netlist:
                         f"{have.value}"
                     )
             if g.kind is GateKind.QCONST:  # a missing level is None, not an int
-                _check_level(g.level, SignalType.QUAT, "qconst level")
+                _level_column((g.level,), SignalType.QUAT, "qconst level")
             elif g.level is not None:
                 raise NetlistError(f"{g.kind.value} does not take a level")
         self._net_type.update(new_type)
@@ -452,9 +466,8 @@ class Netlist:
         for name, sig in self._inputs:
             if name not in assignment:
                 raise MissingAssignment(name)
-            v = assignment[name]
-            _check_level(v, sig, f"input {name!r}")
-            values[self._input_net[name]] = v
+            _level_column((assignment[name],), sig, f"input {name!r}")
+            values[self._input_net[name]] = assignment[name]
         assert self._topo is not None
         for g in self._topo:
             values[g.output] = _EVAL[g.kind](
@@ -462,22 +475,19 @@ class Netlist:
             )
         return {name: values[self._out_net[name]] for name, _ in self._outputs}
 
-    def _eval_columns(self, columns: Sequence[Sequence[int]], rows: int) -> list[bytes]:
-        """Whole-table kernel: one level column of `rows` entries per input
-        port in, one per output port out (bytes, one level per row). Input
-        entries are checked as evaluate() checks its assignment."""
+    def _eval_columns(self, columns: Sequence[bytes], rows: int) -> list[bytes]:
+        """Whole-table kernel: one bytes column of `rows` levels per input
+        port in, one per output port out. It checks no level: the caller
+        does (_level_column), unless _exhaustive_columns made the columns."""
         self.validate()
         assert self._topo is not None
-        for (name, sig), col in zip(self._inputs, columns):
-            _check_column(col, sig, f"input {name!r}")
         if rows == 0:
             return [b""] * len(self._outputs)
         full = (1 << rows) - 1
         planes: dict[int, tuple[int, int]] = {}
         for (name, sig), col in zip(self._inputs, columns):
-            raw = bytes(col)
-            hi = _plane(raw, _HI_DIGIT) if sig is SignalType.QUAT else 0
-            planes[self._input_net[name]] = (hi, _plane(raw, _LO_DIGIT))
+            hi = _plane(col, _HI_DIGIT) if sig is SignalType.QUAT else 0
+            planes[self._input_net[name]] = (hi, _plane(col, _LO_DIGIT))
         for g in self._topo:
             planes[g.output] = _PLANES[g.kind](
                 [planes[n] for n in g.inputs], full, g.level
@@ -515,11 +525,8 @@ class Netlist:
 
     def truth_table(self) -> TruthTable:
         columns = self._exhaustive_columns()
-        states = len(columns[0]) if columns else 1
-        outs = self._eval_columns(columns, states)
-        ins = zip(*columns) if columns else [()]
-        rows = zip(ins, zip(*outs) if outs else itertools.repeat(()))
-        return TruthTable(self._inputs, self._outputs, tuple(rows))
+        outs = self._eval_columns(columns, len(columns[0]) if columns else 1)
+        return TruthTable(self._inputs, self._outputs, tuple(columns + outs))
 
     def metrics(self, costs: Mapping[GateKind, int] | None = None) -> Metrics:
         self.validate()

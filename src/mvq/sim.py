@@ -3,13 +3,14 @@
 Steps are purely combinational: each one is independent of the others, so
 traces are rectangular tables of levels over time. Stimuli and traces are
 held as columns, one per port or signal with one level per step: `sweep_all`
-passes on the netlist's exhaustive input columns, `run` evaluates every step
-at once through the bit-parallel table kernel, and the exporters write their
-text from the columns. The per-step views, `Stimulus.steps` and `Trace.rows`,
-are derived when first read; row i still equals `Netlist.evaluate(steps[i])`,
-but is not computed that way. Exports are byte deterministic for a fixed
-trace. Quaternary signals appear in VCD as 2-bit vectors under the natural
-encoding, binary signals as scalars.
+passes on the netlist's exhaustive input columns, `run` checks each stimulus
+column once against the netlist's level rule, as the public `Trace` does its
+rows, then evaluates every step at once through the bit-parallel table
+kernel, and the exporters write their text from the columns. The per-step
+views, `Stimulus.steps` and `Trace.rows`, are derived when first read; row i
+still equals `Netlist.evaluate(steps[i])`, but is not computed that way.
+Exports are byte deterministic for a fixed trace. Quaternary signals appear
+in VCD as 2-bit vectors under the natural encoding, binary signals as scalars.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .netlist import Netlist, NetlistError, SignalType
+from .netlist import Netlist, NetlistError, SignalType, _level_column
 
 
 class PortMismatch(NetlistError):
@@ -74,19 +75,6 @@ class Stimulus:
         return f"Stimulus(steps={self.steps!r}, step_duration={self.step_duration!r})"
 
 
-def _level_column(values: Sequence[int], name: str, sig: SignalType) -> bytes:
-    """values as a bytes column; ValueError unless each is an int level of sig."""
-    if type(values) is bytes or set(map(type, values)) <= {int}:
-        try:
-            col = bytes(values)
-        except ValueError:  # an int outside 0..255
-            col = b"\xff"
-        if max(col, default=0) < sig.levels:
-            return col
-    bad = next(v for v in values if type(v) is not int or not 0 <= v < sig.levels)
-    raise ValueError(f"signal {name!r}: {bad!r} is not a {sig.value} level")
-
-
 @dataclass(frozen=True, init=False)
 class Trace:
     """Rectangular level recording over `signals` (inputs first, then
@@ -109,16 +97,18 @@ class Trace:
         if any(len(row) != len(signals) for row in rows):
             raise ValueError("trace rows must cover every signal")
         columns = zip(*rows) if rows else [()] * len(signals)
-        self._init(signals, columns, len(rows), step_duration)
+        columns = [_level_column(c, s, f"signal {name!r}") for (name, s), c in zip(signals, columns)]
+        self._init(signals, tuple(columns), len(rows), step_duration)
 
     @classmethod
     def _of_columns(
         cls,
         signals: tuple[tuple[str, SignalType], ...],
-        columns: Iterable[Sequence[int]],
+        columns: tuple[bytes, ...],
         n_steps: int,
         step_duration: int,
     ) -> Trace:
+        """A trace of columns whose levels are already checked."""
         trace = cls.__new__(cls)
         trace._init(signals, columns, n_steps, step_duration)
         return trace
@@ -126,7 +116,6 @@ class Trace:
     def _init(self, signals, columns, n_steps, step_duration) -> None:
         if step_duration < 1:
             raise ValueError("step_duration must be at least 1")
-        columns = tuple(_level_column(c, name, sig) for (name, sig), c in zip(signals, columns))
         for field, value in zip(
             ("signals", "columns", "n_steps", "step_duration"),
             (signals, columns, n_steps, step_duration),
@@ -185,8 +174,10 @@ def run(nl: Netlist, stim: Stimulus) -> Trace:
                 f"step assigns {sorted(assigned)}, ports are {sorted(in_names)}"
             )
     n = stim.n_steps
-    columns = [stim.columns[name] for name in in_names] if n else [b""] * len(in_names)
-    columns += nl._eval_columns(columns, n)
+    # a stimulus of no steps has no columns
+    columns = [_level_column(stim.columns.get(name, b""), sig, f"input {name!r}")
+               for name, sig in nl.input_ports]
+    columns = (*columns, *nl._eval_columns(columns, n))
     return Trace._of_columns(nl.input_ports + nl.output_ports, columns, n, stim.step_duration)
 
 
@@ -268,7 +259,9 @@ def parse_csv(
     header = lines[0].split(",")
     if header[0] != "time":
         raise ValueError("first column must be time")
-    names = header[1:]
+    # no signals export as "time," and rows "0,": one signal "" only if typed
+    blank = header == ["time", ""] and "" not in types
+    names = [] if blank else header[1:]
     if len(set(names)) != len(names):
         raise ValueError(f"repeated column name in {lines[0]!r}")
     for name in names:
@@ -284,7 +277,7 @@ def parse_csv(
     times = []
     for ln in lines[1:]:
         cells = ln.split(",")
-        if len(cells) != len(names) + 1:
+        if len(cells) != len(header) or blank and cells[1]:
             raise ValueError(f"row width mismatch: {ln!r}")
         times.append(cells[0])
         try:

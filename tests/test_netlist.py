@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,21 @@ from mvq.netlist import (
 
 B = SignalType.BIN
 Q = SignalType.QUAT
+
+
+class Level(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+# (signal type, value that is not one of its levels): every place a level
+# comes in from outside rejects each with LevelOutOfRange, a ValueError
+BAD_LEVELS = [
+    (sig, bad)
+    for sig in SignalType
+    for bad in (True, -1, sig.levels, 256, 2 ** 70, 1.0, "1", None, Level.ONE)
+]
+BAD_LEVEL_MESSAGE = "is not a (bin|quat) level"
 
 
 def xor_pair() -> Netlist:
@@ -62,6 +78,11 @@ def test_add_gate_errors():
         n.add_gate(GateKind.QCONST)
     with pytest.raises(nl.NetlistError):
         n.add_gate(GateKind.NOT, [n.input_net("b")], level=1)
+    for sig, bad in BAD_LEVELS:
+        if sig is Q:
+            with pytest.raises(nl.LevelOutOfRange, match=BAD_LEVEL_MESSAGE):
+                n.add_gate(GateKind.QCONST, level=bad)
+    assert n.gates == ()
 
 
 def test_connect_output_errors():
@@ -117,6 +138,13 @@ def test_evaluate_errors():
         n.evaluate({"a": True, "b": 0})
     with pytest.raises(nl.UnknownPort):
         n.evaluate({"a": 1, "b": 0, "c": 1})
+    mixed = Netlist([("a", B), ("q", Q)], [("y", Q)])
+    mixed.connect_output("y", mixed.input_net("q"))
+    for sig, bad in BAD_LEVELS:
+        name = "a" if sig is B else "q"
+        with pytest.raises(nl.LevelOutOfRange, match=BAD_LEVEL_MESSAGE) as exc:
+            mixed.evaluate({"a": 1, "q": 3, name: bad})
+        assert isinstance(exc.value, ValueError)
 
 
 def test_evaluate_is_pure():

@@ -2,6 +2,7 @@
 round trips over random typed DAGs, mutated documents, and the one install
 path's all-or-nothing rule."""
 
+import copy
 import json
 
 import pytest
@@ -55,8 +56,8 @@ def mutated_documents(draw):
             del container[key]
         elif op == "renumber":
             container[key] = draw(st.integers(-2, 40))
-        else:
-            container[key] = draw(st.sampled_from(VALUES))
+        else:  # a copy: a shared list put inside itself would make a cycle
+            container[key] = copy.deepcopy(draw(st.sampled_from(VALUES)))
         doc = root[0]
     depth = draw(st.sampled_from((3, 900, 100_000)))
     text = json.dumps(doc).replace('"NEST"', "[" * depth + "]" * depth)

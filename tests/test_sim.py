@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_netlist import BAD_LEVEL_MESSAGE, BAD_LEVELS
 
 from mvq.arith_core import decode_b2q, gf4_add, mod4_sub
 from mvq.circuits import CIRCUIT_IDS, REGISTRY, build_q2b
-from mvq.netlist import GateKind, Netlist, SignalType, StateSpaceTooLarge
+from mvq.netlist import GateKind, LevelOutOfRange, Netlist, SignalType, StateSpaceTooLarge
 from mvq.sim import (
     PortMismatch,
     _vcd_ident,
@@ -137,15 +138,29 @@ BAD_TRACES = [
     ((("a", B),), ((1.0,),)),
     ((("q", Q),), (("3",),)),
     ((("q", Q),), ((None,),)),
-]
+] + [((("s", sig), ("t", sig)), ((0, 0), (0, bad))) for sig, bad in BAD_LEVELS]
 
 
 @pytest.mark.parametrize("signals, rows", BAD_TRACES)
 @pytest.mark.parametrize("export", [export_csv, export_vcd, voltage_view])
 def test_trace_rejects_a_level_its_signal_does_not_have(signals, rows, export):
     # no exporter can be handed such a trace: it cannot be made
-    with pytest.raises(ValueError, match="is not a (bin|quat) level"):
+    with pytest.raises(LevelOutOfRange, match=BAD_LEVEL_MESSAGE) as exc:
         export(Trace(signals, rows))
+    assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_csv_of_no_signals_and_of_one_named_blank_read_back(n):
+    # both export as "time," then "0,", ...: the types given tell them apart
+    none = Trace((), ((),) * n, 2)
+    blank = Trace((("", B),), ((1,),) * n, 2)
+    text = export_csv(none)
+    assert text == export_csv(blank).replace(",1\n", ",\n")
+    assert parse_csv(text, {}, 2) == none
+    assert parse_csv(export_csv(blank), {"": B}, 2) == blank
+    with pytest.raises(ValueError, match="width"):
+        parse_csv("time,\n0,1\n", {})
 
 
 def test_trace_equality_reads_the_columns():

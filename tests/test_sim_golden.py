@@ -1,8 +1,11 @@
-"""Pinned SHA-256 digests of every trace export.
+"""Pinned SHA-256 digests of every trace export and truth table.
 
-The digests were recorded before the exporters were rewritten to work on
-columns, so any byte the rewrite changes in a CSV, voltage CSV or VCD of a
-catalog circuit, or of a seeded 2^12-row netlist, fails here.
+The export digests were recorded before the exporters were rewritten to
+work on columns, so any byte the rewrite changes in a CSV, voltage CSV or
+VCD of a catalog circuit, or of a seeded 2^12-row netlist, fails here. The
+table digests were recorded before `TruthTable` was held as columns, so any
+row that changes in a catalog circuit's table (gate-level and quaternary
+view) or in the seeded netlist's fails here too.
 """
 
 import hashlib
@@ -10,7 +13,7 @@ import random
 
 import pytest
 
-from mvq.circuits import CIRCUIT_IDS, REGISTRY
+from mvq.circuits import CIRCUIT_IDS, REGISTRY, quat_view
 from mvq.netlist import GATE_SIGNATURES, GateKind, Netlist, SignalType
 from mvq.sim import export_csv, export_vcd, run, sweep_all, voltage_view
 
@@ -129,3 +132,64 @@ def test_seeded_netlist_exports_are_pinned():
     nl = seeded_netlist()
     assert sweep_all(nl).n_steps == 2 ** 12
     assert export_digests(nl) == GOLDEN["seeded"]
+
+
+def table_digest(nl):
+    return hashlib.sha256(repr(nl.truth_table().rows).encode()).hexdigest()
+
+
+# SHA-256 of repr(truth_table().rows) per catalog circuit, as (build(),
+# quat_view), recorded while truth_table still built its rows one tuple each
+TABLE_GOLDEN = {
+    "q2b": (
+        "b60d352e3f1f2a52d0f821d1ecec6379d1de426d2623a8a7e7722b9b910ab5cd",
+        "b60d352e3f1f2a52d0f821d1ecec6379d1de426d2623a8a7e7722b9b910ab5cd",
+    ),
+    "b2q": (
+        "134808af65307060d88018df0332a214f10529ccea0d162943b311011a96f222",
+        "134808af65307060d88018df0332a214f10529ccea0d162943b311011a96f222",
+    ),
+    "mod4-add": (
+        "39b662c5d968fa5a0fa49d937872f62df9c8bbf13d046cd74cc7c0b6c31c63e5",
+        "ad50bd9469830d304f7e888fea1af904707567ae812a803f958f596556f64692",
+    ),
+    "mod4-sub": (
+        "9e791999145e8bbb36782694b95c2c752edcd6ab39480ede95e388d4fd5cf61f",
+        "d0a7b2312ec0c71c97bcfc2014bca49a5b955a7e95abe53c6a195c07515d86e4",
+    ),
+    "mod4-mul": (
+        "6f22e8f1b0af6fb65d3d2db74863e180a1a0410ae40bb54ca6ec5042660111f7",
+        "c2958d93d80bb47ec427109cbe6f3b8443e5ddf4c0e64d74eb8ae015cf8bfba1",
+    ),
+    "mod4-neg": (
+        "f2db8d41d0b9cbb2ff3a1ccfae989ac2d90b611236b8edf247e8b1f3cf23b7d4",
+        "0eb4bc064af69796885ad600c0c9b080b1b860374967aee0f20fd8a4530dbd44",
+    ),
+    "mod4-dbl": (
+        "eddf606d452f6c112b65e946a6835c9b6f2fdea1ffa44b80ab5811421d566cdf",
+        "0d59bc6f4a05e22fc2e0ff2794ea86dcdd5add7599a7318de7eea1ae54a01b20",
+    ),
+    "gf4-add": (
+        "286a27622875e51ce8d17fe4aa69f340d047ffa4323d33e2bdcdf6a9ced315bc",
+        "773126bb4c1543ac9e0589f2df5a5c860d88327b6127b0dd53703961bf2407ba",
+    ),
+    "gf4-mul-sop": (
+        "6d5107e05321dd9469f0b25ccf3dc0d52957ca4ec9bfc32e6081818a27036ec6",
+        "d3e33410c8d90b7240013c17ec308b338d781cf54af49ffab23ebe6a8ed17a4a",
+    ),
+    "gf4-mul-mux": (
+        "d3e33410c8d90b7240013c17ec308b338d781cf54af49ffab23ebe6a8ed17a4a",
+        "d3e33410c8d90b7240013c17ec308b338d781cf54af49ffab23ebe6a8ed17a4a",
+    ),
+}
+SEEDED_TABLE_GOLDEN = "02e0f8c0aefdb4eada784df9d8373970b3fdc4c6dfbb9f90277280c07b9d79d6"
+
+
+@pytest.mark.parametrize("cid", CIRCUIT_IDS)
+def test_catalog_truth_tables_are_pinned(cid):
+    got = (table_digest(REGISTRY[cid].build()), table_digest(quat_view(cid)))
+    assert got == TABLE_GOLDEN[cid]
+
+
+def test_seeded_netlist_truth_table_is_pinned():
+    assert table_digest(seeded_netlist()) == SEEDED_TABLE_GOLDEN

@@ -9,6 +9,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_netlist import BAD_LEVEL_MESSAGE, BAD_LEVELS
 
 from mvq.netlist import (
     GATE_SIGNATURES,
@@ -78,6 +79,12 @@ def test_truth_table_rows_equal_evaluate(n):
 
 
 @settings(max_examples=150, deadline=None)
+@given(typed_dags())
+def test_truth_table_columns_equal_run_of_sweep_all(n):
+    assert n.truth_table().columns == run(n, sweep_all(n)).columns
+
+
+@settings(max_examples=150, deadline=None)
 @given(typed_dags(), st.data())
 def test_run_on_shuffled_partial_stimulus_equals_evaluate(n, data):
     combos = all_combos(n)
@@ -102,9 +109,11 @@ def test_run_rejects_out_of_range_and_bool_levels():
     n = Netlist([("a", B), ("q", Q)], [("y", Q)])
     n.connect_output("y", n.input_net("q"))
     good = {"a": 1, "q": 3}
-    for bad in ({"a": 1, "q": 4}, {"a": 2, "q": 0}, {"a": True, "q": 0}, {"a": 0, "q": -1}):
-        with pytest.raises(LevelOutOfRange):
-            run(n, Stimulus((good, bad)))
+    for sig, bad in BAD_LEVELS:
+        name = "a" if sig is B else "q"
+        with pytest.raises(LevelOutOfRange, match=BAD_LEVEL_MESSAGE) as exc:
+            run(n, Stimulus((good, {**good, name: bad})))
+        assert isinstance(exc.value, ValueError)
 
 
 def test_run_empty_stimulus_gives_empty_rows():
