@@ -26,6 +26,7 @@ from .circuits import (
     REGISTRY,
     CircuitInfo,
     circuit_metrics,
+    get_info,
     quat_view,
     verify,
     verify_all,
@@ -156,10 +157,10 @@ def load_config(path: str | None) -> Config:
 
 
 def _resolve(cid: str) -> CircuitInfo:
-    info = REGISTRY.get(cid)
-    if info is None:
-        raise CliError(f"unknown circuit {cid!r}; known: {', '.join(CIRCUIT_IDS)}")
-    return info
+    try:
+        return get_info(cid)
+    except KeyError as exc:
+        raise CliError(exc.args[0]) from None
 
 
 def _format_columns(headers: list[str], rows: list[list[str]]) -> str:

@@ -570,32 +570,18 @@ class AuditRow:
 def bit_table_spec(kind: OpKind, bit_index: int) -> TruthTableSpec:
     """Defining table for one output bit of an operation, from the reference
     tables (variable 0 = x1 = msb)."""
-    if kind.arity == 1:
-        names = default_names(2)
-        outputs = []
-        for i in range(4):
-            x = BitPair((i >> 1) & 1, i & 1)
-            out = encode_q2b(apply_op(kind, 2 * x.x1 + x.x2))
-            outputs.append(out[bit_index])
-        return TruthTableSpec(names, tuple(outputs))
-    names = default_names(4)
+    n_vars = 2 * kind.arity
     outputs = []
-    for i in range(16):
-        x1, x2, y1, y2 = ((i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1)
-        a, b = 2 * x1 + x2, 2 * y1 + y2
-        out = encode_q2b(apply_op(kind, a, b))
-        outputs.append(out[bit_index])
-    return TruthTableSpec(names, tuple(outputs))
+    for i in range(2 ** n_vars):
+        # operand k is the bit pair at variables 2k, 2k+1 (msb first)
+        operands = [(i >> (n_vars - 2 - 2 * k)) & 3 for k in range(kind.arity)]
+        outputs.append(encode_q2b(apply_op(kind, *operands))[bit_index])
+    return TruthTableSpec(default_names(n_vars), tuple(outputs))
 
 
 def _published_bit(kind: OpKind, bit_index: int, bits: tuple[int, ...]) -> int:
-    if kind.arity == 1:
-        got = bitwise_formula(kind, BitPair(bits[0], bits[1]))
-    else:
-        got = bitwise_formula(
-            kind, BitPair(bits[0], bits[1]), BitPair(bits[2], bits[3])
-        )
-    return got[bit_index]
+    pairs = [BitPair(*bits[k:k + 2]) for k in range(0, len(bits), 2)]
+    return bitwise_formula(kind, *pairs)[bit_index]
 
 
 def audit_published_forms() -> tuple[AuditRow, ...]:

@@ -10,14 +10,14 @@ A level is an exact `int` (no `bool` or other subclass) in 0..levels-1 of
 its signal type; `_level_column` checks that rule wherever levels come in
 from outside, and nowhere else.
 
-`evaluate` is the single-vector reference: one row, one dict of levels.
-Whole tables (`truth_table`, and `sim.run` for any stimulus) go through one
-bit-parallel kernel instead ("parallel pattern" simulation, Waicukauski et
-al. 1985) on checked bytes columns, one level per byte: each net is a pair
-of Python ints (hi, lo) whose bit r is row r, under the natural encoding
-level = 2*hi + lo (binary nets keep hi = 0), and every gate is a few big-int
-operations over all rows at once. A `TruthTable` holds the kernel's columns;
-its row i equals evaluate() of its inputs but is not computed that way.
+Gate semantics are stated once, in one bit-parallel kernel ("parallel
+pattern" simulation, Waicukauski et al. 1985) over checked bytes columns, one
+level per byte: each net is a pair of Python ints (hi, lo) whose bit r is row
+r, under the natural encoding level = 2*hi + lo (binary nets keep hi = 0),
+and every gate is a few big-int operations over all rows at once.
+`evaluate` (one row, one dict of levels), `truth_table` and `sim.run` all run
+that kernel; a `TruthTable` holds its columns. The independent scalar
+reference the kernel is tested against lives in tests/test_table_kernel.py.
 """
 
 from __future__ import annotations
@@ -117,31 +117,6 @@ DEFAULT_COST_TABLE: dict[GateKind, int] = {
     GateKind.B2Q: 8,
     GateKind.QMUX4: 24,
 }
-
-# kind -> f(input values, const level) -> output value
-_EVAL = {
-    GateKind.NOT: lambda v, lv: v[0] ^ 1,
-    GateKind.AND2: lambda v, lv: v[0] & v[1],
-    GateKind.AND3: lambda v, lv: v[0] & v[1] & v[2],
-    GateKind.AND4: lambda v, lv: v[0] & v[1] & v[2] & v[3],
-    GateKind.OR2: lambda v, lv: v[0] | v[1],
-    GateKind.OR3: lambda v, lv: v[0] | v[1] | v[2],
-    GateKind.OR4: lambda v, lv: v[0] | v[1] | v[2] | v[3],
-    GateKind.XOR2: lambda v, lv: v[0] ^ v[1],
-    GateKind.NAND2: lambda v, lv: (v[0] & v[1]) ^ 1,
-    GateKind.NOR2: lambda v, lv: (v[0] | v[1]) ^ 1,
-    GateKind.ANDN2: lambda v, lv: (v[0] ^ 1) & v[1],
-    GateKind.CONST0: lambda v, lv: 0,
-    GateKind.CONST1: lambda v, lv: 1,
-    GateKind.BMUX2: lambda v, lv: v[1] if v[0] == 1 else v[2],
-    GateKind.DLC1: lambda v, lv: 1 if v[0] < 1 else 0,
-    GateKind.DLC2: lambda v, lv: 1 if v[0] < 2 else 0,
-    GateKind.DLC3: lambda v, lv: 1 if v[0] < 3 else 0,
-    GateKind.B2Q: lambda v, lv: 2 * v[0] + v[1],
-    GateKind.QCONST: lambda v, lv: lv,
-    GateKind.QMUX4: lambda v, lv: v[1 + v[0]],
-}
-
 
 def _qmux4_planes(p, f, lv):
     (sh, sl), data = p[0], p[1:]
@@ -462,18 +437,13 @@ class Netlist:
         for key in assignment:
             if key not in names:
                 raise UnknownPort(f"no input port {key!r}")
-        values: dict[int, int] = {}
+        columns = []
         for name, sig in self._inputs:
             if name not in assignment:
                 raise MissingAssignment(name)
-            _level_column((assignment[name],), sig, f"input {name!r}")
-            values[self._input_net[name]] = assignment[name]
-        assert self._topo is not None
-        for g in self._topo:
-            values[g.output] = _EVAL[g.kind](
-                tuple(values[n] for n in g.inputs), g.level
-            )
-        return {name: values[self._out_net[name]] for name, _ in self._outputs}
+            columns.append(_level_column((assignment[name],), sig, f"input {name!r}"))
+        outs = self._eval_columns(columns, 1)
+        return {name: col[0] for (name, _), col in zip(self._outputs, outs)}
 
     def _eval_columns(self, columns: Sequence[bytes], rows: int) -> list[bytes]:
         """Whole-table kernel: one bytes column of `rows` levels per input

@@ -7,8 +7,9 @@ passes on the netlist's exhaustive input columns, `run` checks each stimulus
 column once against the netlist's level rule, as the public `Trace` does its
 rows, then evaluates every step at once through the bit-parallel table
 kernel, and the exporters write their text from the columns. The per-step
-views, `Stimulus.steps` and `Trace.rows`, are derived when first read; row i
-still equals `Netlist.evaluate(steps[i])`, but is not computed that way.
+views, `Stimulus.steps` and `Trace.rows`, are derived when first read.
+`run`, `Netlist.evaluate` and `Netlist.truth_table` all run that one kernel;
+the scalar reference it is tested against lives in tests/test_table_kernel.py.
 Exports are byte deterministic for a fixed trace. Quaternary signals appear
 in VCD as 2-bit vectors under the natural encoding, binary signals as scalars.
 """

@@ -1,6 +1,8 @@
 """Reference-table oracles: published values, algebraic laws, bit formulas."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -225,3 +227,12 @@ def test_domain_errors():
         bitwise_formula(OpKind.MOD4_ADD, (0, 1))
     with pytest.raises(ValueError):
         apply_op(OpKind.GF4_ADD, 1)
+
+
+def test_arith_core_imports_nothing_from_the_netlist_layer():
+    # the oracle tables must never be computed by the code they check
+    layer = ["mvq.netlist", "mvq.sim", "mvq.circuits", "mvq.minimizer", "mvq.cli"]
+    code = f"import sys, mvq.arith_core; print([m for m in {layer!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
