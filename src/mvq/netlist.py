@@ -2,9 +2,15 @@
 
 Nets carry a fixed signal type (binary or quaternary). Gates are strict
 combinational primitives, each known by the one net it drives; `add_gates` is
-the one install path, used by `add_gate` and `from_json`. Evaluation walks the
-topological order `validate` caches until the next construction call, which
-is single-context only.
+the one install path, used by `add_gate` and `from_json`. It puts each batch
+in dependency order as it checks it and appends it to the order of every gate
+before it, since earlier gates never read a later net. `validate` checks the
+outputs are driven and no gate lies on a cycle, then compiles the output cone
+("cone of influence", Clarke, Grumberg & Peled, Model Checking, 1999): the
+gates that some output reads, directly or through other gates, in dependency
+order. Evaluation walks only that cone, kept until the next construction
+call, which is single-context only; every gate is still checked, counted by
+`metrics` and written by `to_json`.
 
 A level is an exact `int` (no `bool` or other subclass) in 0..levels-1 of
 its signal type; `_level_column` checks that rule wherever levels come in
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -228,7 +235,7 @@ class MultipleDrivers(NetlistJsonError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: GateKind
     inputs: tuple[int, ...]
@@ -279,6 +286,50 @@ def _level_column(values: Iterable[int], sig: SignalType, what: str) -> bytes:
     raise LevelOutOfRange(f"{what}: {bad!r} is not a {sig.value} level")
 
 
+_QCONST = GateKind.QCONST  # a module name is found faster than a member
+_OUTPUT = operator.attrgetter("output")
+
+
+def _dependency_order(batch: list[Gate]) -> list[Gate]:
+    """Kahn's algorithm over a batch that reads only its own nets and nets
+    installed before it: the gates in dependency order, less those on a
+    cycle or reading one."""
+    driven = {g.output for g in batch}
+    pending: dict[int, int] = {}
+    consumers: dict[int, list[Gate]] = {}
+    ready: list[Gate] = []
+    for g in batch:
+        deps = [n for n in g.inputs if n in driven]
+        pending[g.output] = len(deps)
+        for n in deps:
+            consumers.setdefault(n, []).append(g)
+        if not deps:
+            ready.append(g)
+    order: list[Gate] = []
+    while ready:
+        g = ready.pop()
+        order.append(g)
+        for h in consumers.get(g.output, ()):
+            pending[h.output] -= 1
+            if pending[h.output] == 0:
+                ready.append(h)
+    return order
+
+
+def _net_on_cycle(batch: list[Gate], order: list[Gate]) -> int:
+    """A net on a cycle of the batch gates missing from order: from the first
+    of them, follow the first input that one of them drives until a net
+    repeats."""
+    placed = {g.output for g in order}
+    stuck = {g.output: g for g in batch if g.output not in placed}
+    net = next(iter(stuck))
+    seen: set[int] = set()
+    while net not in seen:
+        seen.add(net)
+        net = next(n for n in stuck[net].inputs if n in stuck)
+    return net
+
+
 class Netlist:
     """Combinational net graph. Nets are ints; input port i drives net i, and
     each gate drives one net of its own, by which it is known."""
@@ -302,8 +353,12 @@ class Netlist:
             self._input_net[name] = i
         self._next_net = len(self._inputs)
         self._gates: list[Gate] = []
+        self._order: list[Gate] = []  # the gates in dependency order
+        self._cycle: int | None = None  # a net on the first cycle installed
         self._out_net: dict[str, int] = {}
-        self._topo: list[Gate] | None = None
+        # (_PLANES function, input nets, output net, level) per gate that
+        # reaches an output, in dependency order; validate() compiles it
+        self._cone: list[tuple] | None = None
 
     @property
     def input_ports(self) -> tuple[tuple[str, SignalType], ...]:
@@ -320,8 +375,7 @@ class Netlist:
     def topo_gates(self) -> tuple[Gate, ...]:
         """Gates in dependency order (validates first)."""
         self.validate()
-        assert self._topo is not None
-        return tuple(self._topo)
+        return tuple(self._order)
 
     def input_net(self, name: str) -> int:
         if name not in self._input_net:
@@ -347,13 +401,20 @@ class Netlist:
     def add_gates(self, gates: Iterable[Gate]) -> None:
         """Install gates given in any order, all or none. Inputs may be any
         existing net or batch output; a second driver for a net, input ports
-        included, raises MultipleDrivers. Cycles are left to validate()."""
+        included, raises MultipleDrivers. The batch is put in dependency
+        order as it is checked and goes after every gate installed before
+        it, none of which reads its nets. Cycles are left to validate()."""
         batch = list(gates)
+        net_type = self._net_type
         new_type: dict[int, SignalType] = {}
         for g in batch:
-            if g.output in self._net_type or g.output in new_type:
+            if g.output in net_type or g.output in new_type:
                 raise MultipleDrivers(f"net {g.output} has two drivers")
             new_type[g.output] = GATE_SIGNATURES[g.kind][1]
+        # sorted by output net, the batch is in dependency order unless a
+        # gate reads a batch net numbered at or past its own; add_gate's
+        # fresh nets and to_json's documents keep that numbering
+        by_net = True
         for g in batch:
             in_sigs = GATE_SIGNATURES[g.kind][0]
             if len(g.inputs) != len(in_sigs):
@@ -361,22 +422,32 @@ class Netlist:
                     f"{g.kind.value} takes {len(in_sigs)} inputs, got {len(g.inputs)}"
                 )
             for net, sig in zip(g.inputs, in_sigs):
-                have = self._net_type.get(net) or new_type.get(net)
+                have = net_type.get(net)
                 if have is None:
-                    raise UnknownNet(f"net {net} does not exist")
+                    have = new_type.get(net)
+                    if have is None:
+                        raise UnknownNet(f"net {net} does not exist")
+                    by_net = by_net and net < g.output
                 if have is not sig:
                     raise TypeMismatch(
                         f"{g.kind.value} needs {sig.value} input, net {net} is "
                         f"{have.value}"
                     )
-            if g.kind is GateKind.QCONST:  # a missing level is None, not an int
+            if g.kind is _QCONST:  # a missing level is None, not an int
                 _level_column((g.level,), SignalType.QUAT, "qconst level")
             elif g.level is not None:
                 raise NetlistError(f"{g.kind.value} does not take a level")
-        self._net_type.update(new_type)
+        if by_net:
+            self._order += sorted(batch, key=_OUTPUT) if len(batch) > 1 else batch
+        else:
+            order = _dependency_order(batch)
+            if len(order) < len(batch) and self._cycle is None:
+                self._cycle = _net_on_cycle(batch, order)
+            self._order += order
+        net_type.update(new_type)
         self._gates += batch
         self._next_net = max([self._next_net - 1, *new_type]) + 1
-        self._topo = None
+        self._cone = None
 
     def connect_output(self, name: str, net: int) -> None:
         declared = dict(self._outputs)
@@ -390,46 +461,28 @@ class Netlist:
                 f"{self._net_type[net].value}"
             )
         self._out_net[name] = net
-        self._topo = None
+        self._cone = None
 
     def validate(self) -> None:
-        """Check connectivity and acyclicity; cache a topological gate order."""
-        if self._topo is not None:
+        """Check that every output is driven and no gate lies on a cycle;
+        compile the output cone, kept until the next construction call."""
+        if self._cone is not None:
             return
         for name, _ in self._outputs:
             if name not in self._out_net:
                 raise UndrivenOutput(name)
-        driver: dict[int, Gate] = {g.output: g for g in self._gates}
-        # Kahn: a gate is ready once all gate-driven input nets are resolved
-        pending: dict[int, int] = {}
-        consumers: dict[int, list[Gate]] = {}
-        ready: list[Gate] = []
-        for g in self._gates:
-            deps = [n for n in g.inputs if n in driver]
-            pending[g.output] = len(deps)
-            for n in deps:
-                consumers.setdefault(n, []).append(g)
-            if not deps:
-                ready.append(g)
-        order: list[Gate] = []
-        while ready:
-            g = ready.pop()
-            order.append(g)
-            for h in consumers.get(g.output, ()):
-                pending[h.output] -= 1
-                if pending[h.output] == 0:
-                    ready.append(h)
-        if len(order) != len(self._gates):
-            net = next(n for n, left in pending.items() if left > 0)
-            # walk unresolved deps until a net repeats; it lies on a cycle
-            seen: set[int] = set()
-            while net not in seen:
-                seen.add(net)
-                net = next(
-                    n for n in driver[net].inputs if n in driver and pending[n] > 0
-                )
-            raise CombinationalCycle(f"net {net} lies on a cycle")
-        self._topo = order
+        if self._cycle is not None:
+            raise CombinationalCycle(f"net {self._cycle} lies on a cycle")
+        # cone of influence: walk back from the outputs, keeping the gates
+        # whose net some kept gate or output reads
+        live = set(self._out_net.values())
+        cone = []
+        for g in reversed(self._order):
+            if g.output in live:
+                live.update(g.inputs)
+                cone.append((_PLANES[g.kind], g.inputs, g.output, g.level))
+        cone.reverse()
+        self._cone = cone
 
     def evaluate(self, assignment: Mapping[str, int]) -> dict[str, int]:
         self.validate()
@@ -450,7 +503,7 @@ class Netlist:
         port in, one per output port out. It checks no level: the caller
         does (_level_column), unless _exhaustive_columns made the columns."""
         self.validate()
-        assert self._topo is not None
+        assert self._cone is not None
         if rows == 0:
             return [b""] * len(self._outputs)
         full = (1 << rows) - 1
@@ -458,10 +511,8 @@ class Netlist:
         for (name, sig), col in zip(self._inputs, columns):
             hi = _plane(col, _HI_DIGIT) if sig is SignalType.QUAT else 0
             planes[self._input_net[name]] = (hi, _plane(col, _LO_DIGIT))
-        for g in self._topo:
-            planes[g.output] = _PLANES[g.kind](
-                [planes[n] for n in g.inputs], full, g.level
-            )
+        for fn, ins, out, level in self._cone:
+            planes[out] = fn([planes[n] for n in ins], full, level)
         out = []
         for name, sig in self._outputs:
             hi, lo = planes[self._out_net[name]]
@@ -509,8 +560,7 @@ class Netlist:
             total += table[g.kind]
         # depth: gate hops on the longest input->output path
         net_depth: dict[int, int] = {n: 0 for n in self._input_net.values()}
-        assert self._topo is not None
-        for g in self._topo:
+        for g in self._order:
             if g.kind in CONST_KINDS:
                 net_depth[g.output] = 0
             else:
@@ -552,6 +602,26 @@ def _json_id(value: object) -> int:
     return value
 
 
+_INT = frozenset({int})
+
+
+def _json_ids(values: Iterable[object]) -> tuple[int, ...]:
+    ids = tuple(values)
+    if _INT.issuperset(map(type, ids)):
+        return ids
+    return tuple(map(_json_id, ids))  # raises for the first that is not
+
+
+_KINDS = {kind.value: kind for kind in GateKind}
+
+
+def _json_kind(value: object) -> GateKind:
+    try:
+        return _KINDS[value]
+    except (KeyError, TypeError):  # not a kind, or unhashable: GateKind says so
+        return GateKind(value)
+
+
 def _json_name(value: object) -> str:
     if type(value) is not str:
         raise TypeError(f"port name {value!r} is not a string")
@@ -575,8 +645,8 @@ def from_json(text: str) -> Netlist:
         ids = [_json_id(g["id"]) for g in doc["gates"]]
         gates = [
             Gate(
-                GateKind(g["kind"]),
-                tuple(_json_id(n) for n in g["inputs"]),
+                _json_kind(g["kind"]),
+                _json_ids(g["inputs"]),
                 _json_id(g["output"]),
                 g.get("level"),
             )

@@ -12,12 +12,21 @@ views, `Stimulus.steps` and `Trace.rows`, are derived when first read.
 the scalar reference it is tested against lives in tests/test_table_kernel.py.
 Exports are byte deterministic for a fixed trace. Quaternary signals appear
 in VCD as 2-bit vectors under the natural encoding, binary signals as scalars.
+
+Every export writes its text into a bytes body of fixed-width rows, one
+strided slice per byte position of a column, and deletes the padding
+(_FILL) once. Time stamps are written the same way: each time is given as
+many digits as the last, and digit k of every row's time is one column,
+built from the runs over which that digit is constant (they repeat with a
+period in the row index) and with _FILL for leading zeros; in the VCD only
+the rows where some signal changes keep theirs. `parse_csv` reads the text
+`export_csv` writes back the same way, one strided slice per column, and
+any other text row by row.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -204,35 +213,60 @@ def _write_slot(body: bytearray, offset: int, width: int, col: bytes, tables: li
     return offset + len(tables)
 
 
-def _put_times(head: str, body: bytearray, times: Iterable[int]) -> str:
-    """head, then body without its _FILL bytes and with each "\1" in it
-    replaced by the next of times, in decimal."""
-    parts = body.translate(None, _FILL).decode().split("\1")
-    pieces = [""] * (2 * len(parts) - 1)
-    pieces[0::2] = parts
-    pieces[1::2] = map(str, times)
-    pieces[0] = head + pieces[0]
-    return "".join(pieces)
+_DIGITS = [b"%d" % d for d in range(10)]
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+@functools.lru_cache(maxsize=4)
+def _time_digits(start: int, step: int, n: int) -> tuple[bytes, ...]:
+    """The times start, start + step, ... of n rows as fixed-width decimal
+    digit columns, most significant first: column k holds digit k of every
+    row's time, or _FILL where it is a leading zero. Cached, since the
+    exports of one trace share them."""
+    if not n:
+        return ()
+    columns = []
+    for place in reversed(range(len(str(start + (n - 1) * step)))):
+        unit = 10 ** place
+        # the digit is constant over runs of rows, and the runs repeat
+        # every 10*unit / gcd(step, 10*unit) rows: build one period of them
+        period = min(n, 10 * unit // math.gcd(step, 10 * unit))
+        runs = []
+        i = 0
+        while i < period:
+            value = (start + i * step) // unit
+            # the next run starts where the time reaches a multiple of unit
+            j = min(period, _ceil_div((value + 1) * unit - start, step))
+            runs.append(_DIGITS[value % 10] * (j - i))
+            i = j
+        column = b"".join(runs) * _ceil_div(n, period)
+        # leading zeros: the first rows, whose times are below unit
+        zeros = min(n, _ceil_div(unit - start, step)) if place and start < unit else 0
+        columns.append(_FILL * zeros + column[zeros:n])
+    return tuple(columns)
 
 
 def _write_csv(trace: Trace, tables: Mapping[SignalType, list[bytes]]) -> str:
     """The trace as CSV: a time column, then one column per signal, where
     tables[t] (see _slot_tables) renders the cell of a type-t signal."""
     n, signals = trace.n_steps, trace.signals
+    times = _time_digits(0, trace.step_duration, n)
     slots = [tables[sig] for _, sig in signals]
-    # a row of the body is "\1" for its time, then ',' and the slot of each
-    # signal, then '\n'; with no signals it is "\1,\n", as the row is still
-    # its time and a ','
-    width = max(2 + sum(map(len, slots)) + len(slots), 3)
+    # a row of the body is the time's digits, then ',' and the slot of each
+    # signal, then '\n'; with no signals it is the time, ',' and '\n'
+    width = len(times) + 1 + sum(map(len, slots)) + max(len(slots), 1)
     body = bytearray(b",") * (n * width)
-    body[0::width] = b"\1" * n
+    for k, digits in enumerate(times):
+        body[k::width] = digits
     body[width - 1 :: width] = b"\n" * n
-    offset = 2
+    offset = len(times) + 1
     for col, slot in zip(trace.columns, slots):
         offset = _write_slot(body, offset, width, col, slot) + 1
     names = ",".join(name for name, _ in signals)
-    times = range(0, n * trace.step_duration, trace.step_duration)
-    return _put_times(f"time,{names}\n", body, times)
+    return f"time,{names}\n" + body.translate(None, _FILL).decode()
 
 
 # every level's CSV cell, for any signal type
@@ -247,6 +281,54 @@ def export_csv(trace: Trace) -> str:
     return _write_csv(trace, _LEVEL_TABLES)
 
 
+# a cell byte of the levels view to its level
+_CELL_LEVEL = bytes.maketrans(b"0123", bytes(range(4)))
+
+
+def _read_columns(
+    lines: list[str], signals: tuple[tuple[str, SignalType], ...], step_duration: int
+) -> Trace | None:
+    """The trace of CSV data lines that are exactly as export_csv writes
+    them, for one signal or more, read one strided slice per column; None
+    for any other lines."""
+    n, k = len(lines), len(signals)
+    if not n or not k:
+        return None
+    try:
+        step = int(lines[1].partition(",")[0]) if n > 1 else step_duration
+    except ValueError:
+        return None
+    if step < 1:
+        return None
+    data = ("\n".join(lines) + "\n").encode()
+    times = _time_digits(0, step, n)
+    cells: list[list[bytes]] = [[] for _ in signals]
+    # the rows whose times have the same number of digits have one width,
+    # so each such run of rows is read as one strided table
+    start = offset = 0
+    for size in range(1, len(times) + 1):
+        end = min(n, _ceil_div(10 ** size, step))
+        rows = end - start
+        if rows < 1:
+            continue
+        width = size + 2 * k + 1
+        block = data[offset : offset + rows * width]
+        expected = [column[start:end] for column in times[-size:]]
+        if [block[m::width] for m in range(size)] != expected:
+            return None
+        for m in range(size, width, 2):
+            if block[m::width] != (b"," if m < width - 1 else b"\n") * rows:
+                return None
+        for j, (_, sig) in enumerate(signals):
+            cell = block[size + 1 + 2 * j :: width]
+            if cell.translate(None, b"0123"[: sig.levels]):
+                return None
+            cells[j].append(cell)
+        start, offset = end, offset + rows * width
+    columns = tuple(b"".join(col).translate(_CELL_LEVEL) for col in cells)
+    return Trace._of_columns(signals, columns, n, step)
+
+
 def parse_csv(
     text: str, types: Mapping[str, SignalType], step_duration: int = 1
 ) -> Trace:
@@ -254,7 +336,7 @@ def parse_csv(
     the caller; each cell must be one of its signal's levels as export_csv
     writes it, and time i must read i * step. The step is the second time
     when there are two rows or more, else step_duration."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise ValueError("empty CSV")
     header = lines[0].split(",")
@@ -269,7 +351,11 @@ def parse_csv(
         if name not in types:
             raise ValueError(f"no signal type given for {name!r}")
     signals = tuple((name, types[name]) for name in names)
-    # per signal, the level of each cell export_csv can write for it
+    trace = _read_columns(lines[1:], signals, step_duration)
+    if trace is not None:
+        return trace
+    # not as export_csv writes them: row by row, naming the first fault,
+    # with per signal the level of each cell export_csv can write for it
     levels = [
         {cell: lv for lv, cell in enumerate(_LEVEL_CELLS[: sig.levels])}
         for _, sig in signals
@@ -319,17 +405,21 @@ _VCD_VALUES = {
     for sig in SignalType
 }
 _WHEN_CHANGED = [(_FILL * 4 + bytes((c,)) * 4).ljust(256, _FILL) for c in range(256)]
-# renders a row's any-change flag as its time line, "\1" standing for the time
-_VCD_TIME = _slot_tables([b"", b"#\1\n"])
+# a row's any-change flag (0 or 1) as the '#' that starts its time line,
+# the '\n' that ends it, and a mask that keeps its time's digits and turns
+# those of a row with no change into _FILL, the zero byte
+_FLAG_HASH = bytes.maketrans(b"\0\1", _FILL + b"#")
+_FLAG_NEWLINE = bytes.maketrans(b"\0\1", _FILL + b"\n")
+_FLAG_MASK = bytes.maketrans(b"\0\1", b"\0\xff")
 
 
-def _vcd_changes(trace: Trace, idents: list[str]) -> tuple[bytearray, Iterable[int]]:
-    """The value changes after time 0 as a body for _put_times, and its
-    times: per time, the lines of the signals whose level differs from the
-    step before, in declaration order."""
+def _vcd_changes(trace: Trace, idents: list[str]) -> bytearray:
+    """The value changes after time 0, _FILL bytes included: per time, the
+    lines of the signals whose level differs from the step before, in
+    declaration order."""
     n = trace.n_steps - 1
     if n < 1:
-        return bytearray(), ()
+        return bytearray()
     ones = int.from_bytes(b"\1" * n, "little")
     # per signal and row: the level, plus 4 where it differs from the row before
     marked = []
@@ -343,17 +433,26 @@ def _vcd_changes(trace: Trace, idents: list[str]) -> tuple[bytearray, Iterable[i
     changed_rows = any_change.to_bytes(n, "little")
     # row i-1 of the body is time i: its time line if any signal changed
     # then, and per signal its value line if it changed
+    step = trace.step_duration
+    mask = int.from_bytes(changed_rows.translate(_FLAG_MASK), "little")
+    times = [
+        (int.from_bytes(digits, "little") & mask).to_bytes(n, "little")
+        for digits in _time_digits(step, step, n)
+    ]
     tables = [
         _VCD_VALUES[sig] + [_WHEN_CHANGED[c] for c in f"{ident}\n".encode()]
         for (_, sig), ident in zip(trace.signals, idents)
     ]
-    width = len(_VCD_TIME) + sum(map(len, tables))
+    width = len(times) + 2 + sum(map(len, tables))
     body = bytearray(n * width)
-    offset = _write_slot(body, 0, width, changed_rows, _VCD_TIME)
+    body[0::width] = changed_rows.translate(_FLAG_HASH)
+    for k, digits in enumerate(times, 1):
+        body[k::width] = digits
+    body[len(times) + 1 :: width] = changed_rows.translate(_FLAG_NEWLINE)
+    offset = len(times) + 2
     for col, col_tables in zip(marked, tables):
         offset = _write_slot(body, offset, width, col, col_tables)
-    step = trace.step_duration
-    return body, itertools.compress(range(step, (n + 1) * step, step), changed_rows)
+    return body
 
 
 def export_vcd(trace: Trace, timescale: str = "1 ns") -> str:
@@ -375,7 +474,7 @@ def export_vcd(trace: Trace, timescale: str = "1 ns") -> str:
             out.append(_vcd_value(sig, col[0], ident))
         out.append("$end")
     out.append("")
-    return _put_times("\n".join(out), *_vcd_changes(trace, idents))
+    return "\n".join(out) + _vcd_changes(trace, idents).translate(None, _FILL).decode()
 
 
 def voltage_view(trace: Trace, vmap: VoltageMap | None = None) -> str:

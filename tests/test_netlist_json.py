@@ -28,6 +28,27 @@ def test_json_round_trip_keeps_table_and_text(n, rng):
     assert from_json(json.dumps(doc)).truth_table() == n.truth_table()
 
 
+@settings(max_examples=100, deadline=None)
+@given(typed_dags(), st.randoms(use_true_random=False))
+def test_gate_nets_numbered_in_any_order_keep_the_table(n, rng):
+    # gate nets renumbered by a random permutation, so a gate may read a net
+    # numbered past its own: the batch is ordered by its dependencies
+    doc = json.loads(n.to_json())
+    nets = [g["output"] for g in doc["gates"]]
+    renumber = dict(zip(nets, rng.sample(nets, len(nets))))
+    for g in doc["gates"]:
+        g["inputs"] = [renumber.get(k, k) for k in g["inputs"]]
+        g["output"] = renumber[g["output"]]
+    for p in doc["outputs"]:
+        p["net"] = renumber.get(p["net"], p["net"])
+    rng.shuffle(doc["gates"])
+    back = from_json(json.dumps(doc))
+    assert back.truth_table() == n.truth_table()
+    place = {g.output: k for k, g in enumerate(back.topo_gates())}
+    assert len(place) == len(back.gates)
+    assert all(place[i] < place[g.output] for g in back.gates for i in g.inputs if i in place)
+
+
 # JSON values a mutation may put in place of another; "NEST" and "HUGE" are
 # replaced in the text by deeply nested brackets and a 5000-digit integer
 VALUES = (None, True, False, 0, -1, 1, 2, 7, 1.5, "", "bin", "quat", "not",

@@ -3,12 +3,16 @@
 `export_csv`, `voltage_view` and `export_vcd` build their text from the
 trace's byte columns. The writers below walk the rows one cell at a time
 instead, as the exporters once did; on any trace the two must agree byte for
-byte, and a CSV must read back to the trace it came from.
+byte, time stamps included at every digit boundary, and a CSV must read back
+to the trace it came from. `parse_csv` reads exported text by columns; on
+that text, and on any edit of it, it must agree with a reader that walks the
+rows one cell at a time, error texts included.
 """
 
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvq.netlist import SignalType
@@ -87,6 +91,95 @@ def traces(draw):
     return signals, rows, draw(st.integers(1, 7))
 
 
+def ref_parse_csv(text, types, step_duration=1):
+    """A CSV read one row and one cell at a time, with parse_csv's rules
+    and error texts."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty CSV")
+    header = lines[0].split(",")
+    if header[0] != "time":
+        raise ValueError("first column must be time")
+    blank = header == ["time", ""] and "" not in types
+    names = [] if blank else header[1:]
+    if len(set(names)) != len(names):
+        raise ValueError(f"repeated column name in {lines[0]!r}")
+    for name in names:
+        if name not in types:
+            raise ValueError(f"no signal type given for {name!r}")
+    signals = tuple((name, types[name]) for name in names)
+    levels = [{str(lv): lv for lv in range(sig.levels)} for _, sig in signals]
+    rows, times = [], []
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header) or blank and cells[1]:
+            raise ValueError(f"row width mismatch: {ln!r}")
+        times.append(cells[0])
+        row = []
+        for table, cell in zip(levels, cells[1:]):
+            if cell not in table:
+                raise ValueError(f"cell {cell!r} is not a level: {ln!r}")
+            row.append(table[cell])
+        rows.append(tuple(row))
+    if len(times) >= 2:
+        step_duration = int(times[1])
+    if times != [str(i * step_duration) for i in range(len(times))]:
+        raise ValueError(f"time column must read 0, {step_duration}, ...")
+    return Trace(signals, tuple(rows), step_duration)
+
+
+def outcome(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def mutated_csvs(draw):
+    """export_csv text of a small trace, then edited a few times: a byte
+    replaced, put in or taken out, a line doubled, dropped or swapped, a
+    blank line or a CR put in."""
+    signals, rows, step = draw(traces())
+    text = export_csv(Trace(signals[:6], tuple(row[:6] for row in rows[:40]), step))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["replace", "insert", "delete", "line"]))
+        k = draw(st.integers(0, len(text)))
+        byte = draw(st.sampled_from(list(",\n0123456789 -+x\r") + ["10", "\u0663"]))
+        if op == "replace":
+            text = text[:k] + byte + text[k + 1 :]
+        elif op == "insert":
+            text = text[:k] + byte + text[k:]
+        elif op == "delete":
+            text = text[:k] + text[k + 1 :]
+        else:
+            lines = text.split("\n")
+            i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+            edit = draw(st.sampled_from(["double", "drop", "swap", "blank", "crlf"]))
+            if edit == "double":
+                lines.insert(i, lines[i])
+            elif edit == "drop":
+                del lines[i]
+            elif edit == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            elif edit == "blank":
+                lines.insert(i, " ")
+            else:
+                lines = [ln + "\r" for ln in lines]
+            text = "\n".join(lines)
+    types = {name: sig for name, sig in signals}
+    return text, types, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_csvs())
+@example(("time,a,k\n0,2,3\n1,1,2\n", {"a": B, "k": Q}, 1))
+@example(("time,a,k\n0,1,3\n1,1,4\n", {"a": B, "k": Q}, 1))
+@example(("time,a\n0,1\n10,0\n", {"a": B}, 1))
+def test_parse_csv_agrees_with_a_row_reader(case):
+    assert outcome(parse_csv, *case) == outcome(ref_parse_csv, *case)
+
+
 # voltages with one decimal between -1000.0 and 1000.0: cells such as
 # "-12.5", "0.0" and "100.0" have mixed widths within one signal type
 voltage_maps = st.lists(
@@ -107,5 +200,22 @@ def test_exports_match_the_row_writers(case, vmap):
     text = export_csv(trace)
     assert text == ref_csv(signals, rows, step, levels)
     assert voltage_view(trace, vmap) == ref_csv(signals, rows, step, volts)
+    assert export_vcd(trace) == ref_vcd(signals, rows, step)
+    assert parse_csv(text, dict(signals), step) == trace
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 7, 10, 25, 1000, 999983, 10 ** 12])
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000, 1001, 10001])
+def test_time_columns_at_digit_boundaries(n, step):
+    # a binary signal that changes on every third row, and one that never does
+    signals = (("a", B), ("k", Q))
+    rows = tuple((i // 3 % 2, 2) for i in range(n))
+    trace = Trace(signals, rows, step)
+    levels = [("0", "1"), ("0", "1", "2", "3")]
+    vmap = VoltageMap()
+    volts = [tuple(f"{vmap.volts(sig, lv):.1f}" for lv in range(sig.levels)) for _, sig in signals]
+    text = export_csv(trace)
+    assert text == ref_csv(signals, rows, step, levels)
+    assert voltage_view(trace) == ref_csv(signals, rows, step, volts)
     assert export_vcd(trace) == ref_vcd(signals, rows, step)
     assert parse_csv(text, dict(signals), step) == trace

@@ -8,6 +8,7 @@ semantics with the kernel, so the kernel is never tested against itself.
 """
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,14 @@ from hypothesis import strategies as st
 from test_netlist import BAD_LEVEL_MESSAGE, BAD_LEVELS
 
 from mvq.netlist import (
+    CONST_KINDS,
     GATE_SIGNATURES,
+    CombinationalCycle,
     GateKind,
     LevelOutOfRange,
     Netlist,
     SignalType,
+    from_json,
 )
 from mvq.sim import Stimulus, run, sweep_all
 
@@ -176,3 +180,84 @@ def test_table_at_the_state_cap():
     assert len(rows) == 2 ** 16
     for r in (0, 1, 12345, 2 ** 16 - 1):
         assert rows[r] == reference_rows(n, [rows[r][0]])[0]
+
+
+# The kernel evaluates only the output cone: the gates some output reads,
+# directly or through other gates. Every other gate is still installed,
+# checked, ordered, counted and written out.
+
+
+def test_a_cycle_of_dead_gates_still_raises():
+    doc = {
+        "inputs": [{"name": "a", "type": "bin"}],
+        "outputs": [{"name": "y", "type": "bin", "net": 1}],
+        "gates": [
+            {"id": 0, "kind": "not", "inputs": [0], "output": 1},
+            {"id": 1, "kind": "and2", "inputs": [0, 3], "output": 2},
+            {"id": 2, "kind": "not", "inputs": [2], "output": 3},
+        ],
+    }
+    with pytest.raises(CombinationalCycle, match=r"^net 2 lies on a cycle$"):
+        from_json(json.dumps(doc))
+    n = Netlist([("a", B)], [("y", B)])
+    n.connect_output("y", n.add_gate(GateKind.NOT, [0]))
+    assert n.evaluate({"a": 0}) == {"y": 1}
+    n.add_gate(GateKind.AND2, [0, 2])  # reads its own net 2
+    with pytest.raises(CombinationalCycle, match=r"^net 2 lies on a cycle$"):
+        n.validate()
+    with pytest.raises(CombinationalCycle, match=r"^net 2 lies on a cycle$"):
+        n.truth_table()
+
+
+def test_outputs_on_input_ports_need_no_gate():
+    n = Netlist([("a", B), ("q", Q)], [("y", Q), ("z", B), ("w", B)])
+    dead = n.add_gate(GateKind.DLC1, [n.input_net("q")])
+    n.add_gate(GateKind.NOT, [dead])
+    n.connect_output("y", n.input_net("q"))
+    n.connect_output("z", n.input_net("a"))
+    n.connect_output("w", n.input_net("a"))
+    rows = n.truth_table().rows
+    assert list(rows) == reference_rows(n, all_combos(n))
+    assert [outs for _, outs in rows] == [(q, a, a) for a in range(2) for q in range(4)]
+    assert run(n, sweep_all(n)).rows == tuple(ins + outs for ins, outs in rows)
+    assert n.evaluate({"a": 1, "q": 2}) == {"y": 2, "z": 1, "w": 1}
+
+
+def add_dead_gates(n, data):
+    """One gate of every kind, each reading nets of any gate or port but
+    read by no output; a constant first wherever a type has no net yet."""
+    types = {}
+    for name, sig in n.input_ports:
+        types[n.input_net(name)] = sig
+    for g in n.gates:
+        types[g.output] = GATE_SIGNATURES[g.kind][1]
+    for sig, kind, level in ((B, GateKind.CONST0, None), (Q, GateKind.QCONST, 1)):
+        if sig not in types.values():
+            types[n.add_gate(kind, level=level)] = sig
+    for kind in data.draw(st.permutations(list(GateKind))):
+        ins, out_type = GATE_SIGNATURES[kind]
+        nets = [data.draw(st.sampled_from([k for k, t in types.items() if t is sig])) for sig in ins]
+        level = data.draw(st.integers(0, 3)) if kind is GateKind.QCONST else None
+        types[n.add_gate(kind, nets, level=level)] = out_type
+
+
+@settings(max_examples=100, deadline=None)
+@given(typed_dags(), st.data())
+def test_dead_gates_change_no_output_and_are_still_counted(n, data):
+    before = n.gates
+    add_dead_gates(n, data)
+    added = n.gates[len(before):]
+    assert {g.kind for g in added} >= set(GateKind)
+    combos = all_combos(n)
+    rows = reference_rows(n, combos)
+    assert list(n.truth_table().rows) == rows
+    assert run(n, sweep_all(n)).rows == tuple(ins + outs for ins, outs in rows)
+    names = [name for name, _ in n.input_ports]
+    for combo in combos:
+        assignment = dict(zip(names, combo))
+        assert n.evaluate(assignment) == reference_eval(n, assignment)
+    assert len(n.topo_gates()) == len(n.gates)
+    metrics = n.metrics()
+    assert metrics.gate_count == sum(g.kind not in CONST_KINDS for g in n.gates)
+    assert sum(count for _, count in metrics.kind_counts) == len(n.gates)
+    assert len(json.loads(n.to_json())["gates"]) == len(n.gates)
