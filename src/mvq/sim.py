@@ -18,8 +18,9 @@ strided slice per byte position of a column, and deletes the padding
 (_FILL) once. Time stamps are written the same way: each time is given as
 many digits as the last, and digit k of every row's time is one column,
 built from the runs over which that digit is constant (they repeat with a
-period in the row index) and with _FILL for leading zeros; in the VCD only
-the rows where some signal changes keep theirs. `parse_csv` reads the text
+period in the row index), or where those runs are many, strided out of one
+text of every time, and with _FILL for leading zeros; in the VCD only the
+rows where some signal changes keep theirs. `parse_csv` reads the text
 `export_csv` writes back the same way, one strided slice per column, and
 any other text row by row.
 """
@@ -221,30 +222,41 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def _time_digits(start: int, step: int, n: int) -> tuple[bytes, ...]:
-    """The times start, start + step, ... of n rows as fixed-width decimal
+def _time_digits(step: int, n: int) -> tuple[bytes, ...]:
+    """The times 0, step, ..., (n-1)*step of n rows as fixed-width decimal
     digit columns, most significant first: column k holds digit k of every
     row's time, or _FILL where it is a leading zero. Cached, since the
-    exports of one trace share them."""
+    exports of one trace share them (the VCD reads them from row 1 on)."""
     if not n:
         return ()
+    width = len(str((n - 1) * step))
+    # the digit at the place of each unit, most significant first, is
+    # constant over runs of about unit/step rows, which repeat every
+    # 10*unit / gcd(step, 10*unit) rows: the period
+    units = [10 ** place for place in reversed(range(width))]
+    periods = [min(n, 10 * unit // math.gcd(step, 10 * unit)) for unit in units]
+    runs = sum(min(p, (p - 1) * step // unit + 1) for unit, p in zip(units, periods))
+    if 4 * runs > n:
+        # a run costs about as much as four rows of one text of every time,
+        # written with one format: stride the digits out of that instead
+        text = (b"%%0%dd" % width * n) % tuple(range(0, n * step, step))
+        digits = [text[k::width] for k in range(width)]
+    else:
+        digits = []
+        for unit, period in zip(units, periods):
+            pieces = []
+            i = 0
+            while i < period:
+                value = i * step // unit
+                # the next run starts where the time reaches a multiple of unit
+                j = min(period, _ceil_div((value + 1) * unit, step))
+                pieces.append(_DIGITS[value % 10] * (j - i))
+                i = j
+            digits.append(b"".join(pieces) * _ceil_div(n, period))
+    # leading zeros: the first rows, whose times are below unit
     columns = []
-    for place in reversed(range(len(str(start + (n - 1) * step)))):
-        unit = 10 ** place
-        # the digit is constant over runs of rows, and the runs repeat
-        # every 10*unit / gcd(step, 10*unit) rows: build one period of them
-        period = min(n, 10 * unit // math.gcd(step, 10 * unit))
-        runs = []
-        i = 0
-        while i < period:
-            value = (start + i * step) // unit
-            # the next run starts where the time reaches a multiple of unit
-            j = min(period, _ceil_div((value + 1) * unit - start, step))
-            runs.append(_DIGITS[value % 10] * (j - i))
-            i = j
-        column = b"".join(runs) * _ceil_div(n, period)
-        # leading zeros: the first rows, whose times are below unit
-        zeros = min(n, _ceil_div(unit - start, step)) if place and start < unit else 0
+    for unit, column in zip(units, digits):
+        zeros = min(n, _ceil_div(unit, step)) if unit > 1 else 0
         columns.append(_FILL * zeros + column[zeros:n])
     return tuple(columns)
 
@@ -253,7 +265,7 @@ def _write_csv(trace: Trace, tables: Mapping[SignalType, list[bytes]]) -> str:
     """The trace as CSV: a time column, then one column per signal, where
     tables[t] (see _slot_tables) renders the cell of a type-t signal."""
     n, signals = trace.n_steps, trace.signals
-    times = _time_digits(0, trace.step_duration, n)
+    times = _time_digits(trace.step_duration, n)
     slots = [tables[sig] for _, sig in signals]
     # a row of the body is the time's digits, then ',' and the slot of each
     # signal, then '\n'; with no signals it is the time, ',' and '\n'
@@ -296,12 +308,14 @@ def _read_columns(
         return None
     try:
         step = int(lines[1].partition(",")[0]) if n > 1 else step_duration
-    except ValueError:
+        last = str((n - 1) * step)
+    except ValueError:  # not a number, or too many digits for str()
         return None
-    if step < 1:
+    # the last time first: it is one comparison, and a wrong step fails it
+    if step < 1 or lines[-1].partition(",")[0] != last:
         return None
     data = ("\n".join(lines) + "\n").encode()
-    times = _time_digits(0, step, n)
+    times = _time_digits(step, n)
     cells: list[list[bytes]] = [[] for _ in signals]
     # the rows whose times have the same number of digits have one width,
     # so each such run of rows is read as one strided table
@@ -433,11 +447,10 @@ def _vcd_changes(trace: Trace, idents: list[str]) -> bytearray:
     changed_rows = any_change.to_bytes(n, "little")
     # row i-1 of the body is time i: its time line if any signal changed
     # then, and per signal its value line if it changed
-    step = trace.step_duration
     mask = int.from_bytes(changed_rows.translate(_FLAG_MASK), "little")
     times = [
-        (int.from_bytes(digits, "little") & mask).to_bytes(n, "little")
-        for digits in _time_digits(step, step, n)
+        (int.from_bytes(digits[1:], "little") & mask).to_bytes(n, "little")
+        for digits in _time_digits(trace.step_duration, trace.n_steps)
     ]
     tables = [
         _VCD_VALUES[sig] + [_WHEN_CHANGED[c] for c in f"{ident}\n".encode()]

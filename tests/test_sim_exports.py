@@ -10,6 +10,7 @@ rows one cell at a time, error texts included.
 """
 
 import random
+import timeit
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from mvq.netlist import SignalType
 from mvq.sim import (
     Trace,
     VoltageMap,
+    _time_digits,
     _vcd_ident,
     export_csv,
     export_vcd,
@@ -219,3 +221,28 @@ def test_time_columns_at_digit_boundaries(n, step):
     assert voltage_view(trace) == ref_csv(signals, rows, step, volts)
     assert export_vcd(trace) == ref_vcd(signals, rows, step)
     assert parse_csv(text, dict(signals), step) == trace
+
+
+def _best(f, repeat=5):
+    return min(timeit.repeat(f, number=1, repeat=repeat))
+
+
+@pytest.mark.parametrize("step", [7, 999983, 123456789])
+def test_time_columns_cost_no_more_than_a_row_join(step):
+    # 2^14 rows, digit columns built afresh: no dearer than one str() per
+    # row and a join (a step whose low digits change on every row once took
+    # eight times that), and a CSV reads back faster than row by row
+    n = 2 ** 14
+    digits = _best(lambda: _time_digits.__wrapped__(step, n))
+    join = _best(lambda: ",".join(str(i * step) for i in range(n)))
+    assert digits < 2 * join
+    signals = (("a", B), ("k", Q))
+    trace = Trace(signals, tuple((i // 3 % 2, i % 4) for i in range(n)), step)
+    text, types = export_csv(trace), dict(signals)
+
+    def read():
+        _time_digits.cache_clear()
+        return parse_csv(text, types, step)
+
+    assert read() == trace
+    assert _best(read) < _best(lambda: ref_parse_csv(text, types, step))
