@@ -427,3 +427,46 @@ def test_every_gate_kind_has_signature_and_cost_policy():
             assert kind not in DEFAULT_COST_TABLE
         else:
             assert DEFAULT_COST_TABLE[kind] >= 0
+
+
+# every gate kind in declaration order: (name, input types, output type,
+# default transistor cost or "free"), written out here rather than read from
+# GATE_SIGNATURES, which the kernel tests build their netlists from, so that a
+# signature or cost that slips cannot pass them unseen
+GATE_KIND_FACTS = [
+    ("not", ("bin",), "bin", 2),
+    ("and2", ("bin", "bin"), "bin", 6),
+    ("and3", ("bin", "bin", "bin"), "bin", 8),
+    ("and4", ("bin", "bin", "bin", "bin"), "bin", 10),
+    ("or2", ("bin", "bin"), "bin", 6),
+    ("or3", ("bin", "bin", "bin"), "bin", 8),
+    ("or4", ("bin", "bin", "bin", "bin"), "bin", 10),
+    ("xor2", ("bin", "bin"), "bin", 10),
+    ("nand2", ("bin", "bin"), "bin", 4),
+    ("nor2", ("bin", "bin"), "bin", 4),
+    ("andn2", ("bin", "bin"), "bin", 6),
+    ("const0", (), "bin", "free"),
+    ("const1", (), "bin", "free"),
+    ("bmux2", ("bin", "bin", "bin"), "bin", 6),
+    ("dlc1", ("quat",), "bin", 2),
+    ("dlc2", ("quat",), "bin", 2),
+    ("dlc3", ("quat",), "bin", 2),
+    ("b2q", ("bin", "bin"), "quat", 8),
+    ("qconst", (), "quat", "free"),
+    ("qmux4", ("quat", "quat", "quat", "quat", "quat"), "quat", 24),
+]
+
+
+def test_gate_kind_facts_are_pinned():
+    assert list(GATE_SIGNATURES) == list(GateKind)
+    got = [
+        (
+            kind.value,
+            tuple(sig.value for sig in ins),
+            out.value,
+            "free" if kind in CONST_KINDS else DEFAULT_COST_TABLE[kind],
+        )
+        for kind, (ins, out) in GATE_SIGNATURES.items()
+    ]
+    assert got == GATE_KIND_FACTS
+    assert set(DEFAULT_COST_TABLE) == set(GateKind) - CONST_KINDS
