@@ -16,14 +16,17 @@ A level is an exact `int` (no `bool` or other subclass) in 0..levels-1 of
 its signal type; `_level_column` checks that rule wherever levels come in
 from outside, and nowhere else.
 
-Gate semantics are stated once, in one bit-parallel kernel ("parallel
-pattern" simulation, Waicukauski et al. 1985) over checked bytes columns, one
-level per byte: each net is a pair of Python ints (hi, lo) whose bit r is row
-r, under the natural encoding level = 2*hi + lo (binary nets keep hi = 0),
-and every gate is a few big-int operations over all rows at once.
-`evaluate` (one row, one dict of levels), `truth_table` and `sim.run` all run
-that kernel; a `TruthTable` holds its columns. The independent scalar
-reference the kernel is tested against lives in tests/test_table_kernel.py.
+Gate semantics are stated once, in the `GateKind` rows, each with the kind's
+port types and default cost (`GATE_SIGNATURES`, `DEFAULT_COST_TABLE` and
+`CONST_KINDS` are views of them). Their plane functions make one bit-parallel
+kernel ("parallel pattern" simulation, Waicukauski et al. 1985) over checked
+bytes columns, one level per byte: each net is a pair of Python ints (hi, lo)
+whose bit r is row r, under the natural encoding level = 2*hi + lo (binary
+nets keep hi = 0), and every gate is a few big-int operations over all rows
+at once. `evaluate` (one row, one dict of levels), `truth_table` and
+`sim.run` all run that kernel; a `TruthTable` holds its columns. The
+independent scalar reference the kernel is tested against lives in
+tests/test_table_kernel.py.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import json
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 # The largest exhaustive table, bounded by memory. Peak RSS of a 2^16-row,
 # 40-gate, 32-port netlist (getrusage, fresh CPython 3.11, 31 MB before the
@@ -52,78 +55,9 @@ class SignalType(Enum):
         return 2 if self is SignalType.BIN else 4
 
 
-class GateKind(Enum):
-    NOT = "not"
-    AND2 = "and2"
-    AND3 = "and3"
-    AND4 = "and4"
-    OR2 = "or2"
-    OR3 = "or3"
-    OR4 = "or4"
-    XOR2 = "xor2"
-    NAND2 = "nand2"
-    NOR2 = "nor2"
-    ANDN2 = "andn2"
-    CONST0 = "const0"
-    CONST1 = "const1"
-    BMUX2 = "bmux2"
-    DLC1 = "dlc1"
-    DLC2 = "dlc2"
-    DLC3 = "dlc3"
-    B2Q = "b2q"
-    QCONST = "qconst"
-    QMUX4 = "qmux4"
-
-
 _B = SignalType.BIN
 _Q = SignalType.QUAT
 
-# kind -> (input port types, output type)
-GATE_SIGNATURES: dict[GateKind, tuple[tuple[SignalType, ...], SignalType]] = {
-    GateKind.NOT: ((_B,), _B),
-    GateKind.AND2: ((_B, _B), _B),
-    GateKind.AND3: ((_B, _B, _B), _B),
-    GateKind.AND4: ((_B, _B, _B, _B), _B),
-    GateKind.OR2: ((_B, _B), _B),
-    GateKind.OR3: ((_B, _B, _B), _B),
-    GateKind.OR4: ((_B, _B, _B, _B), _B),
-    GateKind.XOR2: ((_B, _B), _B),
-    GateKind.NAND2: ((_B, _B), _B),
-    GateKind.NOR2: ((_B, _B), _B),
-    GateKind.ANDN2: ((_B, _B), _B),
-    GateKind.CONST0: ((), _B),
-    GateKind.CONST1: ((), _B),
-    GateKind.BMUX2: ((_B, _B, _B), _B),
-    GateKind.DLC1: ((_Q,), _B),
-    GateKind.DLC2: ((_Q,), _B),
-    GateKind.DLC3: ((_Q,), _B),
-    GateKind.B2Q: ((_B, _B), _Q),
-    GateKind.QCONST: ((), _Q),
-    GateKind.QMUX4: ((_Q, _Q, _Q, _Q, _Q), _Q),
-}
-
-CONST_KINDS = frozenset({GateKind.CONST0, GateKind.CONST1, GateKind.QCONST})
-
-# per-gate transistor costs (static CMOS style); constants are free wiring
-DEFAULT_COST_TABLE: dict[GateKind, int] = {
-    GateKind.NOT: 2,
-    GateKind.NAND2: 4,
-    GateKind.NOR2: 4,
-    GateKind.AND2: 6,
-    GateKind.OR2: 6,
-    GateKind.AND3: 8,
-    GateKind.OR3: 8,
-    GateKind.AND4: 10,
-    GateKind.OR4: 10,
-    GateKind.XOR2: 10,
-    GateKind.ANDN2: 6,
-    GateKind.BMUX2: 6,
-    GateKind.DLC1: 2,
-    GateKind.DLC2: 2,
-    GateKind.DLC3: 2,
-    GateKind.B2Q: 8,
-    GateKind.QMUX4: 24,
-}
 
 def _qmux4_planes(p, f, lv):
     (sh, sl), data = p[0], p[1:]
@@ -136,31 +70,58 @@ def _qmux4_planes(p, f, lv):
     return hi, lo
 
 
-# kind -> f(input planes, all-rows mask, const level) -> output planes; a net's
-# planes are (hi, lo) with bit r for row r, level = 2*hi + lo
-_PLANES = {
-    GateKind.NOT: lambda p, f, lv: (0, f ^ p[0][1]),
-    GateKind.AND2: lambda p, f, lv: (0, p[0][1] & p[1][1]),
-    GateKind.AND3: lambda p, f, lv: (0, p[0][1] & p[1][1] & p[2][1]),
-    GateKind.AND4: lambda p, f, lv: (0, p[0][1] & p[1][1] & p[2][1] & p[3][1]),
-    GateKind.OR2: lambda p, f, lv: (0, p[0][1] | p[1][1]),
-    GateKind.OR3: lambda p, f, lv: (0, p[0][1] | p[1][1] | p[2][1]),
-    GateKind.OR4: lambda p, f, lv: (0, p[0][1] | p[1][1] | p[2][1] | p[3][1]),
-    GateKind.XOR2: lambda p, f, lv: (0, p[0][1] ^ p[1][1]),
-    GateKind.NAND2: lambda p, f, lv: (0, f ^ (p[0][1] & p[1][1])),
-    GateKind.NOR2: lambda p, f, lv: (0, f ^ (p[0][1] | p[1][1])),
-    GateKind.ANDN2: lambda p, f, lv: (0, (f ^ p[0][1]) & p[1][1]),
-    GateKind.CONST0: lambda p, f, lv: (0, 0),
-    GateKind.CONST1: lambda p, f, lv: (0, f),
-    GateKind.BMUX2: lambda p, f, lv: (
+class GateKind(Enum):
+    """One row per gate kind: JSON name (the value), input port types, output
+    type, default transistor cost (static CMOS style; None for the constants,
+    which are free wiring) and plane function f(input planes, all-rows mask,
+    qconst level) -> output planes."""
+
+    inputs: tuple[SignalType, ...]
+    output: SignalType
+    cost: int | None
+    planes: Callable[[list[tuple[int, int]], int, int | None], tuple[int, int]]
+
+    def __new__(cls, value, inputs, output, cost, planes):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.inputs, kind.output, kind.cost, kind.planes = inputs, output, cost, planes
+        return kind
+
+    NOT = "not", (_B,), _B, 2, lambda p, f, lv: (0, f ^ p[0][1])
+    AND2 = "and2", (_B, _B), _B, 6, lambda p, f, lv: (0, p[0][1] & p[1][1])
+    AND3 = "and3", (_B,) * 3, _B, 8, lambda p, f, lv: (0, p[0][1] & p[1][1] & p[2][1])
+    AND4 = "and4", (_B,) * 4, _B, 10, lambda p, f, lv: (
+        0, p[0][1] & p[1][1] & p[2][1] & p[3][1]
+    )
+    OR2 = "or2", (_B, _B), _B, 6, lambda p, f, lv: (0, p[0][1] | p[1][1])
+    OR3 = "or3", (_B,) * 3, _B, 8, lambda p, f, lv: (0, p[0][1] | p[1][1] | p[2][1])
+    OR4 = "or4", (_B,) * 4, _B, 10, lambda p, f, lv: (
+        0, p[0][1] | p[1][1] | p[2][1] | p[3][1]
+    )
+    XOR2 = "xor2", (_B, _B), _B, 10, lambda p, f, lv: (0, p[0][1] ^ p[1][1])
+    NAND2 = "nand2", (_B, _B), _B, 4, lambda p, f, lv: (0, f ^ (p[0][1] & p[1][1]))
+    NOR2 = "nor2", (_B, _B), _B, 4, lambda p, f, lv: (0, f ^ (p[0][1] | p[1][1]))
+    ANDN2 = "andn2", (_B, _B), _B, 6, lambda p, f, lv: (0, (f ^ p[0][1]) & p[1][1])
+    CONST0 = "const0", (), _B, None, lambda p, f, lv: (0, 0)
+    CONST1 = "const1", (), _B, None, lambda p, f, lv: (0, f)
+    BMUX2 = "bmux2", (_B,) * 3, _B, 6, lambda p, f, lv: (
         0, (p[0][1] & p[1][1]) | ((f ^ p[0][1]) & p[2][1])
-    ),
-    GateKind.DLC1: lambda p, f, lv: (0, f ^ (p[0][0] | p[0][1])),
-    GateKind.DLC2: lambda p, f, lv: (0, f ^ p[0][0]),
-    GateKind.DLC3: lambda p, f, lv: (0, f ^ (p[0][0] & p[0][1])),
-    GateKind.B2Q: lambda p, f, lv: (p[0][1], p[1][1]),
-    GateKind.QCONST: lambda p, f, lv: (f * (lv >> 1), f * (lv & 1)),
-    GateKind.QMUX4: _qmux4_planes,
+    )
+    DLC1 = "dlc1", (_Q,), _B, 2, lambda p, f, lv: (0, f ^ (p[0][0] | p[0][1]))
+    DLC2 = "dlc2", (_Q,), _B, 2, lambda p, f, lv: (0, f ^ p[0][0])
+    DLC3 = "dlc3", (_Q,), _B, 2, lambda p, f, lv: (0, f ^ (p[0][0] & p[0][1]))
+    B2Q = "b2q", (_B, _B), _Q, 8, lambda p, f, lv: (p[0][1], p[1][1])
+    QCONST = "qconst", (), _Q, None, lambda p, f, lv: (f * (lv >> 1), f * (lv & 1))
+    QMUX4 = "qmux4", (_Q,) * 5, _Q, 24, _qmux4_planes
+
+
+# views of the GateKind rows, in GateKind order
+GATE_SIGNATURES: dict[GateKind, tuple[tuple[SignalType, ...], SignalType]] = {
+    kind: (kind.inputs, kind.output) for kind in GateKind
+}
+CONST_KINDS = frozenset(kind for kind in GateKind if kind.cost is None)
+DEFAULT_COST_TABLE: dict[GateKind, int] = {
+    kind: kind.cost for kind in GateKind if kind.cost is not None
 }
 
 # byte translations between a level column (one level per byte) and the
@@ -340,6 +301,7 @@ class Netlist:
     ) -> None:
         self._inputs: tuple[tuple[str, SignalType], ...] = tuple(inputs)
         self._outputs: tuple[tuple[str, SignalType], ...] = tuple(outputs)
+        self._out_type: dict[str, SignalType] = dict(self._outputs)
         seen: set[str] = set()
         for name, _ in self._inputs + self._outputs:
             if name in seen:
@@ -355,8 +317,8 @@ class Netlist:
         self._order: list[Gate] = []  # the gates in dependency order
         self._cycle: int | None = None  # a net on the first cycle installed
         self._out_net: dict[str, int] = {}
-        # (_PLANES function, input nets, output net, level) per gate that
-        # reaches an output, in dependency order; validate() compiles it
+        # (its kind's plane function, input nets, output net, level) per gate
+        # that reaches an output, in dependency order; validate() compiles it
         self._cone: list[tuple] | None = None
 
     @property
@@ -382,6 +344,8 @@ class Netlist:
         return self._input_net[name]
 
     def output_net(self, name: str) -> int:
+        if name not in self._out_type:
+            raise UnknownPort(f"no output port {name!r}")
         if name not in self._out_net:
             raise UndrivenOutput(name)
         return self._out_net[name]
@@ -409,7 +373,7 @@ class Netlist:
         for g in batch:
             if g.output in net_type or g.output in new_type:
                 raise MultipleDrivers(f"net {g.output} has two drivers")
-            new_type[g.output] = GATE_SIGNATURES[g.kind][1]
+            new_type[g.output] = g.kind.output
         # sorted by output net, the batch is in dependency order unless a
         # gate reads a batch net numbered at or past its own; add_gate's
         # fresh nets and to_json's documents keep that numbering. The sort
@@ -419,7 +383,7 @@ class Netlist:
         # slower (2-vCPU VM, CPython 3.11)
         by_net = True
         for g in batch:
-            in_sigs = GATE_SIGNATURES[g.kind][0]
+            in_sigs = g.kind.inputs
             if len(g.inputs) != len(in_sigs):
                 raise ArityMismatch(
                     f"{g.kind.value} takes {len(in_sigs)} inputs, got {len(g.inputs)}"
@@ -453,14 +417,13 @@ class Netlist:
         self._cone = None
 
     def connect_output(self, name: str, net: int) -> None:
-        declared = dict(self._outputs)
-        if name not in declared:
+        if name not in self._out_type:
             raise UnknownPort(f"no output port {name!r}")
         if net not in self._net_type:
             raise UnknownNet(f"net {net} does not exist")
-        if self._net_type[net] is not declared[name]:
+        if self._net_type[net] is not self._out_type[name]:
             raise TypeMismatch(
-                f"output {name!r} is {declared[name].value}, net {net} is "
+                f"output {name!r} is {self._out_type[name].value}, net {net} is "
                 f"{self._net_type[net].value}"
             )
         self._out_net[name] = net
@@ -483,7 +446,7 @@ class Netlist:
         for g in reversed(self._order):
             if g.output in live:
                 live.update(g.inputs)
-                cone.append((_PLANES[g.kind], g.inputs, g.output, g.level))
+                cone.append((g.kind.planes, g.inputs, g.output, g.level))
         cone.reverse()
         self._cone = cone
 
@@ -554,22 +517,22 @@ class Netlist:
 
     def metrics(self, costs: Mapping[GateKind, int] | None = None) -> Metrics:
         self.validate()
-        table = DEFAULT_COST_TABLE if costs is None else costs
-        counted = [g for g in self._gates if g.kind not in CONST_KINDS]
+        # constants (cost None) are free wiring, whatever the cost table says
+        counted = [g.kind for g in self._gates if g.kind.cost is not None]
         total = 0
-        for g in counted:
-            if g.kind not in table:
-                raise MissingCostEntry(f"cost table has no entry for {g.kind.value}")
-            total += table[g.kind]
-        # depth: gate hops on the longest input->output path
+        for kind in counted:
+            if costs is None:
+                total += kind.cost
+            elif kind in costs:
+                total += costs[kind]
+            else:
+                raise MissingCostEntry(f"cost table has no entry for {kind.value}")
+        # depth: gate hops on the longest input->output path (a constant is on none)
         net_depth: dict[int, int] = {n: 0 for n in self._input_net.values()}
         for g in self._order:
-            if g.kind in CONST_KINDS:
-                net_depth[g.output] = 0
-            else:
-                net_depth[g.output] = 1 + max(
-                    (net_depth[n] for n in g.inputs), default=0
-                )
+            net_depth[g.output] = (
+                1 + max(net_depth[n] for n in g.inputs) if g.inputs else 0
+            )
         depth = max((net_depth[self._out_net[n]] for n, _ in self._outputs), default=0)
         tally: dict[str, int] = {}
         for g in self._gates:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 import random
 from enum import IntEnum
 
@@ -96,6 +97,17 @@ def test_connect_output_errors():
         n.connect_output("y", n.input_net("q"))
     n.connect_output("y", dlc)
     n.validate()
+
+
+def test_output_net_errors():
+    n = Netlist([("a", B)], [("y", B)])
+    for name in ("nope", "a"):  # not declared, or an input port
+        with pytest.raises(nl.UnknownPort, match=f"^no output port '{name}'$"):
+            n.output_net(name)
+    with pytest.raises(nl.UndrivenOutput, match="^y$"):  # declared, not connected
+        n.output_net("y")
+    n.connect_output("y", n.input_net("a"))
+    assert n.output_net("y") == n.input_net("a")
 
 
 def test_undriven_output():
@@ -470,3 +482,11 @@ def test_gate_kind_facts_are_pinned():
     ]
     assert got == GATE_KIND_FACTS
     assert set(DEFAULT_COST_TABLE) == set(GateKind) - CONST_KINDS
+
+
+def test_gate_kind_members_behave_as_plain_enum_values():
+    for kind in GateKind:
+        assert GateKind(kind.value) is kind
+        assert repr(kind) == f"<GateKind.{kind.name}: {kind.value!r}>"
+        assert pickle.loads(pickle.dumps(kind)) is kind
+    assert len({hash(kind) for kind in GateKind}) == len(GateKind)
