@@ -40,7 +40,7 @@ from .minimizer import (
     recognize_xor,
     render_sop,
 )
-from .netlist import GateKind, MissingCostEntry, SignalType
+from .netlist import CONST_KINDS, GateKind, MissingCostEntry, SignalType
 from .sim import VoltageMap, export_csv, export_vcd, run, sweep_all, voltage_view
 
 EXIT_OK = 0
@@ -97,6 +97,9 @@ def _load_cost_table(path: str) -> dict[GateKind, int]:
             raise CliError(f"unknown gate kind {key!r} in cost table") from None
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise CliError(f"cost for {key!r} must be a non-negative integer")
+        if kind in CONST_KINDS:
+            print(f"warning: cost for {key!r} ignored; constants are free wiring",
+                  file=sys.stderr)
         table[kind] = value
     return table
 

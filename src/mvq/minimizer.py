@@ -1,6 +1,6 @@
 """Exact two-level minimization and the published-equation audit.
 
-Quine-McCluskey prime generation plus Petrick set cover. The cover is exact,
+Prime generation on int row masks plus Petrick set cover. The cover is exact,
 but Petrick's product-of-sums expansion holds every partial solution, so on
 dense 7- and 8-variable functions it can run for minutes; the audited
 functions have 2 or 4 variables. The audit re-derives every published
@@ -9,10 +9,16 @@ output-bit equation from its defining table and compares costs mechanically.
 Cube notation: one character per variable, '1' plain literal, '0' complemented
 literal, '-' absent. Rendering and tie-breaks order cubes by the per-position
 rank 1 < 0 < -, so plain literals sort before complemented ones and both
-before dashes. Internally a cube is a (care, value) pair of int masks with
+before dashes. Internally a cube is a (dashes, value) pair of int masks with
 variable 0 as the most significant bit, as in the row index (row i lies in
-the cube when i & care == value), and a set of rows is an int with bit i for
-row i.
+the cube when i & ~dashes == value), and a set of rows is an int with bit i
+for row i. A cube's rows are the rows inside its dashes, shifted by its value.
+
+Primes come from bit-parallel implicant masks, one per dash set d: bit v is
+set when the cube (d, v) lies inside on | dc. Widening d by variable bit b
+keeps the v whose cube and its neighbour across b both lie inside, and a cube
+is prime when no widening by a free bit covers it (cf. Coudert, Two-level
+logic minimization: an overview, 1994).
 """
 
 from __future__ import annotations
@@ -91,43 +97,13 @@ class TruthTableSpec:
         return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
 
 
-_CARE_DIGITS = str.maketrans("10-", "110")
+_DASH_DIGITS = str.maketrans("10-", "001")
 _VALUE_DIGITS = str.maketrans("10-", "100")
 
 
 def _cube_mask(cube: str) -> tuple[int, int]:
-    care = int(cube.translate(_CARE_DIGITS) or "0", 2)
-    return care, int(cube.translate(_VALUE_DIGITS) or "0", 2)
-
-
-def _cube_str(care: int, value: int, n: int) -> str:
-    return "".join(
-        "1" if value >> b & 1 else "0" if care >> b & 1 else DC
-        for b in range(n - 1, -1, -1)
-    )
-
-
-@functools.cache
-def _bit_rows(n: int) -> tuple[int, ...]:
-    # entry b: the rows of an n-variable table whose index has bit b set
-    return tuple(
-        sum(1 << i for i in range(2 ** n) if i >> b & 1) for b in range(n)
-    )
-
-
-def _cube_rows(care: int, value: int, n: int) -> int:
-    rows = (1 << 2 ** n) - 1
-    for b, ones in enumerate(_bit_rows(n)):
-        if care >> b & 1:
-            rows &= ones if value >> b & 1 else ~ones
-    return rows
-
-
-def _sop_rows(cubes: tuple[str, ...], n: int) -> int:
-    rows = 0
-    for cube in cubes:
-        rows |= _cube_rows(*_cube_mask(cube), n)
-    return rows
+    dashes = int(cube.translate(_DASH_DIGITS) or "0", 2)
+    return dashes, int(cube.translate(_VALUE_DIGITS) or "0", 2)
 
 
 def _set_bits(mask: int):
@@ -137,8 +113,78 @@ def _set_bits(mask: int):
         mask ^= low
 
 
+@functools.cache
+def _spread(dashes: int) -> int:
+    # the rows of the cube (dashes, 0): every v with v & ~dashes == 0
+    rows = 1
+    for b in _set_bits(dashes):
+        rows |= rows << (1 << b)
+    return rows
+
+
+def _cube_rows(dashes: int, value: int) -> int:
+    return _spread(dashes) << value
+
+
+def _sop_rows(cubes: tuple[str, ...]) -> int:
+    rows = 0
+    for cube in cubes:
+        rows |= _cube_rows(*_cube_mask(cube))
+    return rows
+
+
+@functools.cache
+def _low_rows(n: int) -> tuple[int, ...]:
+    # entry b: the rows of an n-variable table whose index has bit b clear,
+    # runs of 2**b set bits repeated with period 2**(b + 1)
+    every_row = (1 << 2 ** n) - 1
+    return tuple(
+        every_row // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1)
+        for b in range(n)
+    )
+
+
+# entry i: i's bit b moved to bit 3b, so a sum of entries written in octal has
+# one digit per variable (n <= 8)
+_OCTAL = tuple(int(f"{i:b}", 8) for i in range(256))
+_KEY_DIGITS = str.maketrans("012", "10-")
+
+
+def _primes(spec: TruthTableSpec) -> list[tuple[int, int, int]]:
+    """(key, dashes, on-set rows) of every prime implicant of on | dc that
+    covers an on-set row, sorted by key. The key written in octal is the
+    cube's rank, one digit per variable: 0 for '1', 1 for '0', 2 for '-'."""
+    n = spec.n_vars
+    full = (1 << n) - 1
+    low = _low_rows(n)
+    # implicants[d]: bit v set when the cube (d, v) lies inside on | dc; the
+    # cube (d | bit b, v) is (d, v) joined with its neighbour across bit b
+    implicants = [spec.on | spec.dc] + [0] * full
+    for d in range(1, full + 1):
+        b = d.bit_length() - 1
+        m = implicants[d ^ (1 << b)]
+        implicants[d] = m & (m >> (1 << b)) & low[b]
+    found = []
+    for d, m in enumerate(implicants):
+        if not m:
+            continue
+        for b in _set_bits(full ^ d):  # drop the cubes a wider one covers
+            wider = implicants[d | (1 << b)]
+            m &= ~(wider | (wider << (1 << b)))
+        for v in _set_bits(m):
+            rows = _cube_rows(d, v) & spec.on
+            if rows:
+                found.append((_OCTAL[full ^ v] + _OCTAL[d], d, rows))
+    found.sort()
+    return found
+
+
+def _key_cube(key: int, n: int) -> str:
+    return format(key, f"0{n}o").translate(_KEY_DIGITS)
+
+
 def cube_literal_count(cube: str) -> int:
-    return sum(1 for ch in cube if ch != DC)
+    return len(cube) - cube.count(DC)
 
 
 @dataclass(frozen=True)
@@ -151,15 +197,15 @@ class SopExpr:
     def __post_init__(self) -> None:
         seen = set()
         for c in self.cubes:
-            if len(c) != self.n_vars or any(ch not in "01-" for ch in c):
+            if len(c) != self.n_vars or c.strip("01-"):
                 raise ValueError(f"bad cube {c!r}")
             if c in seen:
                 raise ValueError(f"duplicate cube {c!r}")
             seen.add(c)
-        # a covers b when b cares, with a's values, wherever a cares
+        # a covers b when b's dashes are a's, and b has a's values elsewhere
         pairs = itertools.permutations(zip(self.cubes, map(_cube_mask, self.cubes)), 2)
-        for (a, (a_care, a_value)), (b, (b_care, b_value)) in pairs:
-            if a_care & ~b_care == 0 and b_value & a_care == a_value:
+        for (a, (a_dashes, a_value)), (b, (b_dashes, b_value)) in pairs:
+            if b_dashes & ~a_dashes == 0 and b_value & ~a_dashes == a_value:
                 raise ValueError(f"cube {a!r} already covers {b!r}")
 
     @property
@@ -179,43 +225,21 @@ class SopExpr:
 
 def prime_implicants(spec: TruthTableSpec) -> tuple[str, ...]:
     """All prime implicants of on ∪ dc that cover at least one on-set row."""
-    n = spec.n_vars
-    full = (1 << n) - 1
-    current = {(full, i) for i in _set_bits(spec.on | spec.dc)}
-    primes: set[tuple[int, int]] = set()
-    while current:
-        # two cubes merge when they share a care mask and differ in one value bit
-        merged: set[tuple[int, int]] = set()
-        nxt: set[tuple[int, int]] = set()
-        for cube in current:
-            care, value = cube
-            for b in _set_bits(care):
-                bit = 1 << b
-                if (care, value ^ bit) in current:
-                    merged.add(cube)
-                    nxt.add((care ^ bit, value & ~bit))
-        primes |= current - merged
-        current = nxt
-    useful = [
-        _cube_str(care, value, n)
-        for care, value in primes
-        if _cube_rows(care, value, n) & spec.on
-    ]
-    return tuple(sorted(useful, key=_cube_key))
+    return tuple(_key_cube(key, spec.n_vars) for key, _, _ in _primes(spec))
 
 
 def minimize_exact(spec: TruthTableSpec) -> SopExpr:
     """Minimum-cost prime cover: fewest terms, then fewest literals, then the
     smallest cube list under the rank order (total tie-break)."""
     n = spec.n_vars
-    primes = prime_implicants(spec)
+    primes = _primes(spec)
     on = spec.on
     if not on:
         return SopExpr(n, ())
     # primes come sorted by rank, so a cover is an int with bit k for primes[k]
     # and the rank tie-break compares sorted prime indices
-    prime_rows = [_cube_rows(*_cube_mask(p), n) & on for p in primes]
-    lits = [cube_literal_count(p) for p in primes]
+    prime_rows = [rows for _, _, rows in primes]
+    lits = [n - dashes.bit_count() for _, dashes, _ in primes]
     covers = dict.fromkeys(_set_bits(on), 0)  # row -> primes covering it
     for k, rows in enumerate(prime_rows):
         for m in _set_bits(rows):
@@ -253,15 +277,14 @@ def minimize_exact(spec: TruthTableSpec) -> SopExpr:
 
     fewest = min(map(int.bit_count, solutions))
     best = min(cost(s) for s in solutions if s.bit_count() == fewest)[2]
-    return SopExpr(n, tuple(primes[k] for k in best))
+    return SopExpr(n, tuple(_key_cube(primes[k][0], n) for k in best))
 
 
 def check_equiv(e: SopExpr, spec: TruthTableSpec) -> bool:
     """Whether e has the table's arity and, on every row that is not a don't
     care, the table's output: the rows e covers, outside spec.dc, are exactly
     spec.on."""
-    n = spec.n_vars
-    return e.n_vars == n and _sop_rows(e.cubes, n) & ~spec.dc == spec.on
+    return e.n_vars == spec.n_vars and _sop_rows(e.cubes) & ~spec.dc == spec.on
 
 
 def render_cube(cube: str, names: tuple[str, ...]) -> str:
@@ -306,9 +329,9 @@ def _all_cubes(n: int):
 def _xor_pair_search(e: SopExpr) -> tuple[str, str] | None:
     """Find cubes P, Q with P xor Q equivalent to e, minimizing literals."""
     n = e.n_vars
-    target = _sop_rows(e.cubes, n)
+    target = _sop_rows(e.cubes)
     # distinct cubes cover distinct rows, so P's rows fix Q's
-    by_rows = {_cube_rows(*_cube_mask(c), n): c for c in _all_cubes(n)}
+    by_rows = {_cube_rows(*_cube_mask(c)): c for c in _all_cubes(n)}
     best: tuple[tuple, str, str] | None = None
     for rows, p in by_rows.items():
         q = by_rows.get(rows ^ target)
@@ -347,6 +370,12 @@ def _fxor_pair(c1: str, c2: str) -> tuple[str, int, int, int, int] | None:
     # c1 = C * xp^a * xq^b ; c2 the complements; sum = C * (xp^a xor xq^(1-b))
     a, b = int(c1[p]), int(c1[q])
     return (common, p, a, q, 1 - b)
+
+
+def _literal_rows(j: int, n: int) -> int:
+    # the rows where variable j is 1
+    bit = 1 << (n - 1 - j)
+    return _cube_rows(((1 << n) - 1) ^ bit, bit)
 
 
 def _render_literal(name: str, polarity: int) -> str:
@@ -399,11 +428,10 @@ def recognize_xor(e: SopExpr, names: tuple[str, ...] | None = None) -> XorReport
         idx, (common, p, pol_p, q, pol_q) = match
         c2 = pool.pop(idx)
         # sanity: the factored term must equal the pair it replaces
-        var = _bit_rows(n)
-        u = var[n - 1 - p] if pol_p == 1 else ~var[n - 1 - p]
-        v = var[n - 1 - q] if pol_q == 1 else ~var[n - 1 - q]
-        factored_rows = _cube_rows(*_cube_mask(common), n) & (u ^ v)
-        diff = factored_rows ^ _sop_rows((c1, c2), n)
+        u = _literal_rows(p, n) if pol_p == 1 else ~_literal_rows(p, n)
+        v = _literal_rows(q, n) if pol_q == 1 else ~_literal_rows(q, n)
+        factored_rows = _cube_rows(*_cube_mask(common)) & (u ^ v)
+        diff = factored_rows ^ _sop_rows((c1, c2))
         if diff:
             row = (diff & -diff).bit_length() - 1
             raise RuntimeError(
@@ -494,12 +522,15 @@ def parse_pla(text: str) -> TruthTableSpec:
                 f"line {lineno}: input part has {len(in_part)} positions, "
                 f"expected {n}"
             )
-        if any(ch not in "01-" for ch in in_part):
+        if in_part.strip("01-"):  # stops at the first character of any other kind
             raise ParseError(f"line {lineno}: bad input character")
         if out_part not in ("0", "1", "-"):
             raise ParseError(f"line {lineno}: bad output value {out_part!r}")
         value: int | str = DC if out_part == DC else int(out_part)
-        rows = _cube_rows(*_cube_mask(in_part), n)
+        if DC in in_part:
+            rows = _cube_rows(*_cube_mask(in_part))
+        else:
+            rows = 1 << int(in_part, 2)
         clash = rows & (assigned ^ assigned_as[value])
         if clash:
             row = (clash & -clash).bit_length() - 1

@@ -151,6 +151,35 @@ def test_metrics_custom_cost_table(capsys, tmp_path):
     assert "transistor estimate: 4" in out
 
 
+def test_metrics_cost_of_a_constant_is_ignored_with_a_warning(capsys, tmp_path):
+    # the default costs with qconst set to 50: gf4-mul-mux has four qconst
+    # gates, and constants are free wiring
+    costs = {k.value: k.cost for k in GateKind if k.cost is not None}
+    cost_path = tmp_path / "costs.json"
+    cost_path.write_text(json.dumps(costs | {"qconst": 50}))
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"cost_table={cost_path}\n")
+    code, out, err = run_cli(capsys, "metrics", "gf4-mul-mux", "--config", str(cfg))
+    _, default_out, _ = run_cli(capsys, "metrics", "gf4-mul-mux")
+    assert code == 0
+    assert out == default_out and "transistor estimate: 72" in out
+    assert err == "warning: cost for 'qconst' ignored; constants are free wiring\n"
+
+
+def test_cost_table_warns_once_per_constant_key(capsys, tmp_path):
+    costs = {k.value: 1 for k in GateKind}
+    cost_path = tmp_path / "costs.json"
+    cost_path.write_text(json.dumps(costs))
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"cost_table={cost_path}\n")
+    code, _, err = run_cli(capsys, "verify", "q2b", "--config", str(cfg))
+    assert code == 0
+    assert err.splitlines() == [
+        f"warning: cost for {k!r} ignored; constants are free wiring"
+        for k in costs if k in ("const0", "const1", "qconst")
+    ]
+
+
 def test_metrics_missing_cost_entry(capsys, tmp_path):
     cost_path = tmp_path / "costs.json"
     cost_path.write_text(json.dumps({"and2": 6}))

@@ -362,6 +362,39 @@ def test_parse_pla_errors():
         parse_pla(".i 2\n.o 1\n.ilb a\n11 1\n.e\n")
 
 
+# recorded from the per-character reader; int() would accept the last three
+@pytest.mark.parametrize("in_part", ["x01", "0x1", "01x", "0+1", "0_1", "\uff1011"])
+def test_parse_pla_bad_input_character_anywhere(in_part):
+    with pytest.raises(ParseError) as err:
+        parse_pla(f".i 3\n.o 1\n{in_part} 1\n.e\n")
+    assert str(err.value) == "line 3: bad input character"
+
+
+def test_parse_pla_row_error_precedence():
+    # width before characters, characters before the output value
+    with pytest.raises(ParseError) as err:
+        parse_pla(".i 3\n.o 1\n0x11 1\n.e\n")
+    assert str(err.value) == "line 3: input part has 4 positions, expected 3"
+    with pytest.raises(ParseError) as err:
+        parse_pla(".i 3\n.o 1\n0x1 2\n.e\n")
+    assert str(err.value) == "line 3: bad input character"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1- 1\n10 0\n", "line 4: row 2 conflicts with line 3"),
+        ("-1- -\n010 1\n", "line 4: row 2 conflicts with line 3"),
+        ("--- 0\n111 1\n", "line 4: row 7 conflicts with line 3"),
+    ],
+)
+def test_parse_pla_dash_free_row_conflicts_with_an_earlier_dashed_row(rows, message):
+    n = len(rows.split()[0])
+    with pytest.raises(ParseError) as err:
+        parse_pla(f".i {n}\n.o 1\n{rows}.e\n")
+    assert str(err.value) == message
+
+
 def test_parse_pla_dash_rows_do_not_conflict_when_equal():
     text = ".i 2\n.o 1\n1- 1\n11 1\n.e\n"
     assert parse_pla(text).outputs == (0, 0, 1, 1)

@@ -80,10 +80,10 @@ def brute_min_cover(spec):
     raise AssertionError("the primes cover no on-set")
 
 
-def tables(max_vars):
+def tables(max_vars, min_vars=1):
     @st.composite
     def build(draw):
-        n = draw(st.integers(1, max_vars))
+        n = draw(st.integers(min_vars, max_vars))
         outputs = draw(
             st.lists(st.sampled_from((0, 1, DC)), min_size=2 ** n, max_size=2 ** n)
         )
@@ -95,6 +95,13 @@ def tables(max_vars):
 @settings(max_examples=80, deadline=None)
 @given(tables(6))
 def test_prime_implicants_match_the_definition(spec):
+    assert prime_implicants(spec) == brute_primes(spec)
+
+
+# the widest tables: 3^8 cubes against masks of 256 rows
+@settings(max_examples=6, deadline=None)
+@given(tables(8, min_vars=7))
+def test_prime_implicants_match_the_definition_on_7_and_8_variables(spec):
     assert prime_implicants(spec) == brute_primes(spec)
 
 
