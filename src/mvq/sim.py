@@ -13,16 +13,14 @@ the scalar reference it is tested against lives in tests/test_table_kernel.py.
 Exports are byte deterministic for a fixed trace. Quaternary signals appear
 in VCD as 2-bit vectors under the natural encoding, binary signals as scalars.
 
-Every export writes its text into a bytes body of fixed-width rows, one
-strided slice per byte position of a column, and deletes the padding
-(_FILL) once. Time stamps are written the same way: each time is given as
-many digits as the last, and digit k of every row's time is one column,
-built from the runs over which that digit is constant (they repeat with a
-period in the row index), or where those runs are many, strided out of one
-text of every time, and with _FILL for leading zeros; in the VCD only the
-rows where some signal changes keep theirs. `parse_csv` reads the text
-`export_csv` writes back the same way, one strided slice per column, and
-any other text row by row.
+Row i of a trace is time i, in the VCD's `$timescale` unit. Every export
+writes its text into a bytes body of fixed-width rows, one strided slice per
+byte position of a column, and deletes the padding (_FILL) once. Time
+stamps are such columns too, one per decimal digit of the last time, each a
+repeated cycle of ten runs of one digit, with _FILL for leading zeros; the
+VCD keeps those of the rows where some signal changes. `parse_csv` reads
+`export_csv`'s text back one strided slice per column, and any other text
+row by row.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .netlist import Netlist, NetlistError, SignalType, _level_column
 
@@ -44,7 +42,7 @@ class Stimulus:
     Held as `columns`, one level column per assigned port keyed by its name,
     over `n_steps` steps; `steps` reads them back one mapping per step."""
 
-    def __init__(self, steps: Iterable[Mapping[str, int]], step_duration: int = 1) -> None:
+    def __init__(self, steps: Iterable[Mapping[str, int]]) -> None:
         steps = tuple(steps)
         ports = steps[0].keys() if steps else set()
         stray = next((s.keys() for s in steps if s.keys() != ports), None)
@@ -56,13 +54,12 @@ class Stimulus:
             {n: tuple(s[n] for s in steps) for n in ports} if stray is None else {}
         )
         self.n_steps = len(steps)
-        self.step_duration = step_duration
         self._steps: tuple[Mapping[str, int], ...] | None = steps
 
     @classmethod
     def _of_columns(cls, columns: Mapping[str, bytes], n_steps: int) -> Stimulus:
         stim = cls.__new__(cls)
-        stim.columns, stim.n_steps, stim.step_duration = columns, n_steps, 1
+        stim.columns, stim.n_steps = columns, n_steps
         stim._assigned = (columns.keys(),) if n_steps else ()
         stim._steps = None
         return stim
@@ -78,12 +75,12 @@ class Stimulus:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Stimulus):
             return NotImplemented
-        return (self.steps, self.step_duration) == (other.steps, other.step_duration)
+        return self.steps == other.steps
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"Stimulus(steps={self.steps!r}, step_duration={self.step_duration!r})"
+        return f"Stimulus(steps={self.steps!r})"
 
 
 @dataclass(frozen=True, init=False)
@@ -91,47 +88,33 @@ class Trace:
     """Rectangular level recording over `signals` (inputs first, then
     outputs, in port declaration order), held as `columns`, one bytes column
     per signal with one level per step, over `n_steps` steps. `rows` reads
-    it back one tuple of levels per step."""
+    it back one tuple of levels per step; step i is time i."""
 
     signals: tuple[tuple[str, SignalType], ...]
     columns: tuple[bytes, ...]
     n_steps: int
-    step_duration: int = 1
+    # not a field: every trace has one time unit per step; kept because the
+    # benchmark's checker (perfbench/work.py) still reads it
+    step_duration: ClassVar[int] = 1
 
     def __init__(
-        self,
-        signals: Iterable[tuple[str, SignalType]],
-        rows: Iterable[Sequence[int]],
-        step_duration: int = 1,
+        self, signals: Iterable[tuple[str, SignalType]], rows: Iterable[Sequence[int]]
     ) -> None:
         signals, rows = tuple(signals), tuple(rows)
         if any(len(row) != len(signals) for row in rows):
             raise ValueError("trace rows must cover every signal")
         columns = zip(*rows) if rows else [()] * len(signals)
         columns = [_level_column(c, s, f"signal {name!r}") for (name, s), c in zip(signals, columns)]
-        self._init(signals, tuple(columns), len(rows), step_duration)
+        self.__dict__.update(signals=signals, columns=tuple(columns), n_steps=len(rows))
 
     @classmethod
     def _of_columns(
-        cls,
-        signals: tuple[tuple[str, SignalType], ...],
-        columns: tuple[bytes, ...],
-        n_steps: int,
-        step_duration: int,
+        cls, signals: tuple[tuple[str, SignalType], ...], columns: tuple[bytes, ...], n_steps: int
     ) -> Trace:
         """A trace of columns whose levels are already checked."""
         trace = cls.__new__(cls)
-        trace._init(signals, columns, n_steps, step_duration)
+        trace.__dict__.update(signals=signals, columns=columns, n_steps=n_steps)
         return trace
-
-    def _init(self, signals, columns, n_steps, step_duration) -> None:
-        if step_duration < 1:
-            raise ValueError("step_duration must be at least 1")
-        for field, value in zip(
-            ("signals", "columns", "n_steps", "step_duration"),
-            (signals, columns, n_steps, step_duration),
-        ):
-            object.__setattr__(self, field, value)
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -189,7 +172,7 @@ def run(nl: Netlist, stim: Stimulus) -> Trace:
     columns = [_level_column(stim.columns.get(name, b""), sig, f"input {name!r}")
                for name, sig in nl.input_ports]
     columns = (*columns, *nl._eval_columns(columns, n))
-    return Trace._of_columns(nl.input_ports + nl.output_ports, columns, n, stim.step_duration)
+    return Trace._of_columns(nl.input_ports + nl.output_ports, columns, n)
 
 
 # a body byte that stands for nothing: it pads a text to its slot's width,
@@ -217,47 +200,21 @@ def _write_slot(body: bytearray, offset: int, width: int, col: bytes, tables: li
 _DIGITS = [b"%d" % d for d in range(10)]
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 @functools.lru_cache(maxsize=4)
-def _time_digits(step: int, n: int) -> tuple[bytes, ...]:
-    """The times 0, step, ..., (n-1)*step of n rows as fixed-width decimal
-    digit columns, most significant first: column k holds digit k of every
-    row's time, or _FILL where it is a leading zero. Cached, since the
-    exports of one trace share them (the VCD reads them from row 1 on)."""
-    if not n:
-        return ()
-    width = len(str((n - 1) * step))
-    # the digit at the place of each unit, most significant first, is
-    # constant over runs of about unit/step rows, which repeat every
-    # 10*unit / gcd(step, 10*unit) rows: the period
-    units = [10 ** place for place in reversed(range(width))]
-    periods = [min(n, 10 * unit // math.gcd(step, 10 * unit)) for unit in units]
-    runs = sum(min(p, (p - 1) * step // unit + 1) for unit, p in zip(units, periods))
-    if 4 * runs > n:
-        # a run costs about as much as four rows of one text of every time,
-        # written with one format: stride the digits out of that instead
-        text = (b"%%0%dd" % width * n) % tuple(range(0, n * step, step))
-        digits = [text[k::width] for k in range(width)]
-    else:
-        digits = []
-        for unit, period in zip(units, periods):
-            pieces = []
-            i = 0
-            while i < period:
-                value = i * step // unit
-                # the next run starts where the time reaches a multiple of unit
-                j = min(period, _ceil_div((value + 1) * unit, step))
-                pieces.append(_DIGITS[value % 10] * (j - i))
-                i = j
-            digits.append(b"".join(pieces) * _ceil_div(n, period))
-    # leading zeros: the first rows, whose times are below unit
+def _time_digits(n: int) -> tuple[bytes, ...]:
+    """The times 0, 1, ..., n-1 as fixed-width decimal digit columns, most
+    significant first, with _FILL for leading zeros. The digit at place p is
+    constant over runs of 10**p rows, so its column is one cycle of ten such
+    runs, repeated and cut to n rows. Cached: the exports of one trace share
+    them (the VCD reads them from row 1 on)."""
     columns = []
-    for unit, column in zip(units, digits):
-        zeros = min(n, _ceil_div(unit, step)) if unit > 1 else 0
-        columns.append(_FILL * zeros + column[zeros:n])
+    for place in reversed(range(len(str(n - 1)) if n else 0)):
+        unit = 10 ** place
+        # the top place's cycle ends where the rows do
+        cycle = b"".join(digit * unit for digit in _DIGITS[: (n - 1) // unit + 1])
+        # leading zeros: the first rows, whose times are below unit
+        zeros = unit if place else 0
+        columns.append(_FILL * zeros + (cycle * (n // len(cycle) + 1))[zeros:n])
     return tuple(columns)
 
 
@@ -265,7 +222,7 @@ def _write_csv(trace: Trace, tables: Mapping[SignalType, list[bytes]]) -> str:
     """The trace as CSV: a time column, then one column per signal, where
     tables[t] (see _slot_tables) renders the cell of a type-t signal."""
     n, signals = trace.n_steps, trace.signals
-    times = _time_digits(trace.step_duration, n)
+    times = _time_digits(n)
     slots = [tables[sig] for _, sig in signals]
     # a row of the body is the time's digits, then ',' and the slot of each
     # signal, then '\n'; with no signals it is the time, ',' and '\n'
@@ -297,34 +254,25 @@ def export_csv(trace: Trace) -> str:
 _CELL_LEVEL = bytes.maketrans(b"0123", bytes(range(4)))
 
 
-def _read_columns(
-    lines: list[str], signals: tuple[tuple[str, SignalType], ...], step_duration: int
-) -> Trace | None:
+def _read_columns(lines: list[str], signals: tuple[tuple[str, SignalType], ...]) -> Trace | None:
     """The trace of CSV data lines that are exactly as export_csv writes
     them, for one signal or more, read one strided slice per column; None
     for any other lines."""
     n, k = len(lines), len(signals)
     if not n or not k:
         return None
-    try:
-        step = int(lines[1].partition(",")[0]) if n > 1 else step_duration
-        last = str((n - 1) * step)
-    except ValueError:  # not a number, or too many digits for str()
-        return None
-    # the last time first: it is one comparison, and a wrong step fails it
-    if step < 1 or lines[-1].partition(",")[0] != last:
+    # the last time first: it is one comparison, and most faults fail it
+    if lines[-1].partition(",")[0] != str(n - 1):
         return None
     data = ("\n".join(lines) + "\n").encode()
-    times = _time_digits(step, n)
+    times = _time_digits(n)
     cells: list[list[bytes]] = [[] for _ in signals]
     # the rows whose times have the same number of digits have one width,
     # so each such run of rows is read as one strided table
     start = offset = 0
     for size in range(1, len(times) + 1):
-        end = min(n, _ceil_div(10 ** size, step))
+        end = min(n, 10 ** size)
         rows = end - start
-        if rows < 1:
-            continue
         width = size + 2 * k + 1
         block = data[offset : offset + rows * width]
         expected = [column[start:end] for column in times[-size:]]
@@ -340,16 +288,13 @@ def _read_columns(
             cells[j].append(cell)
         start, offset = end, offset + rows * width
     columns = tuple(b"".join(col).translate(_CELL_LEVEL) for col in cells)
-    return Trace._of_columns(signals, columns, n, step)
+    return Trace._of_columns(signals, columns, n)
 
 
-def parse_csv(
-    text: str, types: Mapping[str, SignalType], step_duration: int = 1
-) -> Trace:
+def parse_csv(text: str, types: Mapping[str, SignalType]) -> Trace:
     """Inverse of export_csv (levels view only). Signal types are supplied by
     the caller; each cell must be one of its signal's levels as export_csv
-    writes it, and time i must read i * step. The step is the second time
-    when there are two rows or more, else step_duration."""
+    writes it, and row i's time must read i."""
     lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise ValueError("empty CSV")
@@ -365,15 +310,12 @@ def parse_csv(
         if name not in types:
             raise ValueError(f"no signal type given for {name!r}")
     signals = tuple((name, types[name]) for name in names)
-    trace = _read_columns(lines[1:], signals, step_duration)
+    trace = _read_columns(lines[1:], signals)
     if trace is not None:
         return trace
     # not as export_csv writes them: row by row, naming the first fault,
     # with per signal the level of each cell export_csv can write for it
-    levels = [
-        {cell: lv for lv, cell in enumerate(_LEVEL_CELLS[: sig.levels])}
-        for _, sig in signals
-    ]
+    levels = [dict(zip(_LEVEL_CELLS, range(sig.levels))) for _, sig in signals]
     rows = []
     times = []
     for ln in lines[1:]:
@@ -385,11 +327,9 @@ def parse_csv(
             rows.append(tuple(map(dict.__getitem__, levels, cells[1:])))
         except KeyError as exc:
             raise ValueError(f"cell {exc} is not a level: {ln!r}") from None
-    if len(times) >= 2:
-        step_duration = int(times[1])
-    if times != [str(i * step_duration) for i in range(len(times))]:
-        raise ValueError(f"time column must read 0, {step_duration}, ...")
-    return Trace(signals, tuple(rows), step_duration)
+    if times != [str(i) for i in range(len(times))]:
+        raise ValueError("time column must read 0, 1, ...")
+    return Trace(signals, tuple(rows))
 
 
 def _vcd_ident(index: int) -> str:
@@ -450,7 +390,7 @@ def _vcd_changes(trace: Trace, idents: list[str]) -> bytearray:
     mask = int.from_bytes(changed_rows.translate(_FLAG_MASK), "little")
     times = [
         (int.from_bytes(digits[1:], "little") & mask).to_bytes(n, "little")
-        for digits in _time_digits(trace.step_duration, trace.n_steps)
+        for digits in _time_digits(trace.n_steps)
     ]
     tables = [
         _VCD_VALUES[sig] + [_WHEN_CHANGED[c] for c in f"{ident}\n".encode()]

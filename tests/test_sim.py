@@ -122,12 +122,6 @@ def test_trace_rectangular_check():
         Trace((("a", B),), ((0, 1),))
 
 
-@pytest.mark.parametrize("step", [0, -1])
-def test_trace_step_duration_at_least_one(step):
-    with pytest.raises(ValueError, match="step_duration"):
-        Trace((("a", B),), ((0,), (1,)), step)
-
-
 BAD_TRACES = [
     ((("a", B), ("q", Q)), ((7, 9), (0, -1), (True, 2))),
     ((("a", B),), ((2,),)),
@@ -153,12 +147,12 @@ def test_trace_rejects_a_level_its_signal_does_not_have(signals, rows, export):
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_csv_of_no_signals_and_of_one_named_blank_read_back(n):
     # both export as "time," then "0,", ...: the types given tell them apart
-    none = Trace((), ((),) * n, 2)
-    blank = Trace((("", B),), ((1,),) * n, 2)
+    none = Trace((), ((),) * n)
+    blank = Trace((("", B),), ((1,),) * n)
     text = export_csv(none)
     assert text == export_csv(blank).replace(",1\n", ",\n")
-    assert parse_csv(text, {}, 2) == none
-    assert parse_csv(export_csv(blank), {"": B}, 2) == blank
+    assert parse_csv(text, {}) == none
+    assert parse_csv(export_csv(blank), {"": B}) == blank
     with pytest.raises(ValueError, match="width"):
         parse_csv("time,\n0,1\n", {})
 
@@ -169,7 +163,7 @@ def test_trace_equality_reads_the_columns():
     same = Trace(trace.signals, list(map(list, trace.rows)))
     assert same == trace and hash(same) == hash(trace)
     assert same.columns == trace.columns == (b"\0\1\2\3", b"\0\0\1\1", b"\0\1\0\1")
-    assert trace != Trace(trace.signals, trace.rows, step_duration=2)
+    assert trace != Trace(trace.signals, trace.rows[::-1])
     assert trace.rows is trace.rows
 
 
@@ -205,15 +199,6 @@ def test_csv_round_trip():
         assert parse_csv(export_csv(trace), types) == trace
 
 
-def test_csv_round_trip_nonunit_duration():
-    nl = build_q2b()
-    stim = Stimulus(sweep_all(nl).steps, step_duration=5)
-    trace = run(nl, stim)
-    text = export_csv(trace)
-    assert text.splitlines()[2].startswith("5,")
-    assert parse_csv(text, dict(trace.signals)) == trace
-
-
 def test_parse_csv_errors():
     with pytest.raises(ValueError):
         parse_csv("", {})
@@ -226,6 +211,9 @@ def test_parse_csv_errors():
     for level in ("2", "-1"):
         with pytest.raises(ValueError):
             parse_csv(f"time,a\n0,{level}\n", {"a": B})
+    # row i is time i: a second time of 2 is no step of 2
+    with pytest.raises(ValueError, match=r"^time column must read 0, 1, \.\.\.$"):
+        parse_csv("time,a\n0,1\n2,0\n", {"a": B})
 
 
 def test_parse_csv_rejects_a_repeated_column():
