@@ -207,8 +207,9 @@ def test_exports_match_the_row_writers(case, vmap):
         assert _read_columns(text.splitlines()[1:], signals) == trace
 
 
+@pytest.mark.parametrize("step", [1, 2, 3, 7, 10, 25, 1000, 999983, 10 ** 12])
 @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000, 1001, 10001])
-def test_time_columns_at_digit_boundaries(n):
+def test_time_columns_at_digit_boundaries(n, step):
     # a binary signal that changes on every third row, and one that never does
     signals = (("a", B), ("k", Q))
     rows = tuple((i // 3 % 2, 2) for i in range(n))
@@ -221,4 +222,19 @@ def test_time_columns_at_digit_boundaries(n):
     assert voltage_view(trace) == ref_csv(signals, rows, volts)
     assert export_vcd(trace) == ref_vcd(signals, rows)
     assert parse_csv(text, dict(signals)) == trace
+    # the same rows with their times at another step: row i is time i, so
+    # both readers take such a CSV only at step 1 or with one row
+    lines = text.splitlines(keepends=True)
+    stepped = lines[0] + "".join(
+        str(i * step) + line[len(str(i)) :] for i, line in enumerate(lines[1:])
+    )
+    assert (stepped == text) == (step == 1 or n == 1)
+    types = dict(signals)
+    assert outcome(parse_csv, stepped, types) == outcome(ref_parse_csv, stepped, types)
+    if stepped == text:
+        assert _read_columns(stepped.splitlines()[1:], signals) == trace
+    else:
+        assert _read_columns(stepped.splitlines()[1:], signals) is None
+        with pytest.raises(ValueError, match=r"^time column must read 0, 1, \.\.\.$"):
+            parse_csv(stepped, types)
 
