@@ -11,10 +11,9 @@ operations, GF(4) addition, and two structurally different GF(4) multipliers.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith_core import OpKind, apply_op, decode_b2q
 from .netlist import GateKind, Metrics, Netlist, NetlistError, SignalType
@@ -286,8 +285,7 @@ def get_info(cid: str) -> CircuitInfo:
     return REGISTRY[cid]
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     cid: str
     ok: bool
     vectors: int
@@ -356,8 +354,7 @@ def circuit_metrics(cid: str, costs=None) -> Metrics:
     info = get_info(cid)
     m = info.build().metrics(costs)
     if info.published_transistors is not None:
-        m = dataclasses.replace(
-            m,
+        m = m._replace(
             published_transistors=info.published_transistors,
             published_note=PUBLISHED_NOTE,
         )

@@ -10,16 +10,23 @@ Subcommands return 0 or 1 and raise for any other outcome; `main` alone
 prints a failure and picks exit code 2 or 3. Every file is read through
 `_read_text` ('-' is stdin) and written through `_write_text`, and both name
 the path when they fail.
+
+Start-up: `import mvq.cli` loads only what `table`, `verify`, `metrics` and
+`compare` need. `minimize` and `audit` import `minimizer` when they run,
+`sim` (and a `voltage_map` config key) imports `sim`, and `argparse` and
+`json` load where a parser is built or a document read. The module
+`__getattr__` still serves the names this module once imported from
+`minimizer` and `sim`, because `perfbench/spans.py` reads and patches them
+here.
 """
 
 from __future__ import annotations
 
-import argparse
+import importlib
 import io
-import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .circuits import (
     CIRCUIT_IDS,
@@ -31,17 +38,12 @@ from .circuits import (
     verify,
     verify_all,
 )
-from .minimizer import (
-    ParseError,
-    UnsupportedFeature,
-    audit_published_forms,
-    minimize_exact,
-    parse_pla,
-    recognize_xor,
-    render_sop,
-)
 from .netlist import CONST_KINDS, GateKind, MissingCostEntry, SignalType
-from .sim import VoltageMap, export_csv, export_vcd, run, sweep_all, voltage_view
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .sim import VoltageMap
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -58,11 +60,18 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
 class Config:
-    cost_table: dict[GateKind, int] | None = None
-    voltages: VoltageMap = VoltageMap()
-    out_dir: str = "."
+    """Settings from a --config file; voltages None is the default VoltageMap."""
+
+    def __init__(
+        self,
+        cost_table: dict[GateKind, int] | None = None,
+        voltages: VoltageMap | None = None,
+        out_dir: str = ".",
+    ) -> None:
+        self.cost_table = cost_table
+        self.voltages = voltages
+        self.out_dir = out_dir
 
 
 def _read_text(path: str) -> str:
@@ -79,6 +88,8 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str) -> object:
+    import json
+
     try:
         return json.loads(_read_text(path))
     except (ValueError, RecursionError) as exc:
@@ -106,11 +117,15 @@ def _load_cost_table(path: str) -> dict[GateKind, int]:
 
 def _voltage(value: object) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
+        import json
+
         raise TypeError(f"voltage {json.dumps(value)} is not a JSON number")
     return float(value)
 
 
 def _load_voltage_map(path: str) -> VoltageMap:
+    from .sim import VoltageMap
+
     raw = _read_json(path)
     try:
         return VoltageMap(
@@ -257,7 +272,19 @@ def cmd_metrics(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_minimize(args: argparse.Namespace, cfg: Config) -> int:
-    spec = parse_pla(_read_text(args.pla))
+    from .minimizer import (
+        ParseError,
+        UnsupportedFeature,
+        minimize_exact,
+        parse_pla,
+        recognize_xor,
+        render_sop,
+    )
+
+    try:
+        spec = parse_pla(_read_text(args.pla))
+    except (ParseError, UnsupportedFeature) as exc:
+        raise CliError(str(exc)) from None
     best = minimize_exact(spec)
     print(render_sop(best, spec.names))
     if args.xor:
@@ -268,6 +295,8 @@ def cmd_minimize(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_audit(args: argparse.Namespace, cfg: Config) -> int:
+    from .minimizer import audit_published_forms
+
     rows = audit_published_forms()
     table = []
     for r in rows:
@@ -294,6 +323,8 @@ def cmd_audit(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_sim(args: argparse.Namespace, cfg: Config) -> int:
+    from .sim import export_csv, export_vcd, run, sweep_all, voltage_view
+
     nl = _resolve(args.circuit).build()
     trace = run(nl, sweep_all(nl))
     csv_text = (
@@ -332,6 +363,8 @@ def cmd_compare(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mvq",
         description="quaternary logic circuit toolkit",
@@ -401,10 +434,32 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(exc, file=sys.stderr)
         return exc.code
-    except (ParseError, UnsupportedFeature, MissingCostEntry) as exc:
+    except MissingCostEntry as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     return code
+
+
+# minimizer's and sim's names that perfbench/spans.py reads and patches on
+# this module: name -> the module that defines it
+_LAZY_NAMES = {
+    **dict.fromkeys(
+        ("ParseError", "UnsupportedFeature", "audit_published_forms",
+         "minimize_exact", "parse_pla", "recognize_xor", "render_sop"),
+        "minimizer",
+    ),
+    **dict.fromkeys(
+        ("VoltageMap", "export_csv", "export_vcd", "run", "sweep_all", "voltage_view"),
+        "sim",
+    ),
+}
+
+
+def __getattr__(name: str) -> object:
+    """PEP 562: load minimizer or sim on the first read of one of its names."""
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __package__), name)
 
 
 if __name__ == "__main__":

@@ -32,11 +32,10 @@ tests/test_table_kernel.py.
 from __future__ import annotations
 
 import functools
-import json
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 # The largest exhaustive table, bounded by memory. Peak RSS of a 2^16-row,
 # 40-gate, 32-port netlist (getrusage, fresh CPython 3.11, 31 MB before the
@@ -196,16 +195,14 @@ class MultipleDrivers(NetlistJsonError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
+class Gate(NamedTuple):
     kind: GateKind
     inputs: tuple[int, ...]
     output: int
     level: int | None = None  # qconst only
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     gate_count: int
     depth: int
     transistor_estimate: int
@@ -541,6 +538,8 @@ class Netlist:
         return Metrics(len(counted), depth, total, kind_counts)
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "inputs": [{"name": n, "type": s.value} for n, s in self._inputs],
             "outputs": [
@@ -587,6 +586,8 @@ def _json_name(value: object) -> str:
 def from_json(text: str) -> Netlist:
     """Import a netlist document. Gates may appear in any order; input port i
     is net i by convention; gate ids must be unique integers, then are dropped."""
+    import json
+
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError included

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from mvq import circuits
+import mvq.cli
+from mvq import circuits, minimizer, sim
 from mvq.cli import main
 from mvq.netlist import GateKind, Netlist, SignalType
 
@@ -251,6 +252,15 @@ def test_minimize_parse_error(capsys, tmp_path):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("text", [".i 2\n.e\n", ".o 1\n.e\n"])
+def test_minimize_stdin_without_a_header(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "minimize", "-")
+    assert code == 2
+    assert out == ""
+    assert err == "missing .i or .o header\n"
+
+
 def test_minimize_duplicate_ilb_names(capsys, tmp_path):
     pla = tmp_path / "dup.pla"
     pla.write_text(".i 2\n.o 1\n.ilb a a\n11 1\n.e\n")
@@ -285,6 +295,18 @@ def test_audit(capsys):
     assert fields[4] == "3"  # two-input gates of the published a1 form
     d2 = next(ln for ln in lines if ln.startswith("mod4-dbl d2"))
     assert " 0" in d2
+
+
+def test_audit_a_wrong_published_sop_reads_no(capsys, monkeypatch):
+    # mod4-mul's m2 is x2 y2 (-1-1); the SOP -1-0 disagrees with its table
+    m2 = next(row for row in minimizer._PUBLISHED if row[:2] == ("mod4-mul", "m2"))
+    monkeypatch.setattr(minimizer, "_PUBLISHED", (m2[:-1] + (("-1-0",),),))
+    [row] = minimizer.audit_published_forms()
+    assert row.equivalent is False
+    code, out, _ = run_cli(capsys, "audit")
+    assert code == 1
+    assert out.splitlines()[1].split()[:3] == ["mod4-mul", "m2", "NO"]
+    assert out.splitlines()[-1] == "0/1 published forms equivalent to their tables"
 
 
 def test_sim_csv_stdout(capsys):
@@ -577,6 +599,40 @@ def test_outputs_are_deterministic(capsys):
         code, out, _ = run_cli(capsys, "sim", "mod4-add", "--csv", "-")
         outs.add(out)
     assert len(outs) == 3
+
+
+def _fresh_import(statement):
+    """The modules a fresh interpreter adds to sys.modules to run statement."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        f"{statement}; print(*sorted(set(sys.modules) - before), sep='\\n')"
+    )
+    src = os.path.dirname(os.path.dirname(mvq.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_loads_only_what_table_verify_metrics_and_compare_need():
+    loaded = _fresh_import("import mvq.cli; assert len(mvq.cli.REGISTRY) == 10")
+    assert "mvq.circuits" in loaded
+    assert not loaded & {"mvq.minimizer", "mvq.sim", "json", "argparse"}
+    assert "json" not in _fresh_import("import mvq.netlist")
+
+
+def test_lazy_names_resolve_to_their_modules():
+    for module, names in (
+        (minimizer, ["parse_pla", "minimize_exact", "recognize_xor", "render_sop",
+                     "audit_published_forms", "ParseError", "UnsupportedFeature"]),
+        (sim, ["run", "sweep_all", "export_csv", "export_vcd", "voltage_view",
+               "VoltageMap"]),
+    ):
+        for name in names:
+            assert getattr(mvq.cli, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        mvq.cli.nope
 
 
 def test_installed_module_entry_point():

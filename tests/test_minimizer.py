@@ -360,6 +360,10 @@ def test_parse_pla_errors():
         parse_pla(".i 2\n.o 1\n.type fr\n11 1\n.e\n")
     with pytest.raises(ParseError):
         parse_pla(".i 2\n.o 1\n.ilb a\n11 1\n.e\n")
+    with pytest.raises(ParseError, match="^missing .i or .o header$"):
+        parse_pla(".i 2\n.e\n")
+    with pytest.raises(ParseError, match="^missing .i or .o header$"):
+        parse_pla(".o 1\n.e\n")
 
 
 # recorded from the per-character reader; int() would accept the last three
