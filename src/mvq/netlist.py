@@ -1,16 +1,30 @@
 """Typed combinational gate-graph IR for mixed binary/quaternary circuits.
 
 Nets carry a fixed signal type (binary or quaternary). Gates are strict
-combinational primitives, each known by the one net it drives; `add_gates` is
-the one install path, used by `add_gate` and `from_json`. It puts each batch
-in dependency order as it checks it and appends it to the order of every gate
-before it, since earlier gates never read a later net. `validate` checks the
-outputs are driven and no gate lies on a cycle, then compiles the output cone
-("cone of influence", Clarke, Grumberg & Peled, Model Checking, 1999): the
-gates that some output reads, directly or through other gates, in dependency
-order. Evaluation walks only that cone, kept until the next construction
-call, which is single-context only; every gate is still checked, counted by
-`metrics` and written by `to_json`.
+combinational primitives, each known by the one net it drives. A `Netlist`
+holds its gates as parallel columns (kinds, input-net tuples, output nets,
+levels) and builds `Gate` values only when `gates` or `topo_gates()` is read.
+
+Gates go in a batch at a time, all or none: `add_gates`, `from_json` (which
+reads a document's gates a column at a time) and `add_gate` (one gate on a
+fresh net). A batch of several gates is checked one rule at a time over
+whole columns (`_fits`). A batch those checks refuse, and a single gate, goes
+through `_scan`, which checks gate by gate in batch order; it is the one
+source of every install error's type, text and precedence, and it accepts
+exactly the batches the column checks accept.
+
+Each batch is put in dependency order and appended to the order of every
+gate before it, since earlier gates never read a later net; a single gate
+needs no ordering. A batch whose gates read only nets numbered below their
+own (as `to_json`'s documents do) is sorted by output net; any other takes
+Kahn's algorithm, about four times the sort's cost (4.8 against 1.1 ms for
+the gates of one nine-job `sweep` cycle, best of 25; 2-vCPU VM, CPython
+3.11), so both stay. `validate` checks the outputs are driven and no gate lies on a
+cycle, then compiles the output cone ("cone of influence", Clarke, Grumberg &
+Peled, Model Checking, 1999): the gates that some output reads, directly or
+through other gates, in dependency order. Evaluation walks only that cone,
+kept until the next construction call, which is single-context only; every
+gate is still checked, counted by `metrics` and written by `to_json`.
 
 A level is an exact `int` (no `bool` or other subclass) in 0..levels-1 of
 its signal type; `_level_column` checks that rule wherever levels come in
@@ -35,6 +49,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress, repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 # The largest exhaustive table, bounded by memory. Peak RSS of a 2^16-row,
@@ -244,46 +259,49 @@ def _level_column(values: Iterable[int], sig: SignalType, what: str) -> bytes:
     raise LevelOutOfRange(f"{what}: {bad!r} is not a {sig.value} level")
 
 
-_OUTPUT = operator.attrgetter("output")
+_QCONST = GateKind.QCONST  # a module name: reading a member off GateKind is slow
+_KIND_INPUTS = operator.attrgetter("inputs")
+_KIND_OUTPUT = operator.attrgetter("output")
 
 
-def _dependency_order(batch: list[Gate]) -> list[Gate]:
-    """Kahn's algorithm over a batch that reads only its own nets and nets
-    installed before it: the gates in dependency order, less those on a
-    cycle or reading one."""
-    driven = {g.output for g in batch}
-    pending: dict[int, int] = {}
-    consumers: dict[int, list[Gate]] = {}
-    ready: list[Gate] = []
-    for g in batch:
-        deps = [n for n in g.inputs if n in driven]
-        pending[g.output] = len(deps)
-        for n in deps:
-            consumers.setdefault(n, []).append(g)
-        if not deps:
-            ready.append(g)
-    order: list[Gate] = []
+def _dependency_order(ins: list[tuple[int, ...]], outs: list[int]) -> list[int]:
+    """Kahn's algorithm over a batch (gate k reads ins[k] and drives outs[k])
+    that reads only its own nets and nets installed before it: the gate
+    indices in dependency order, less those on a cycle or reading one."""
+    index = dict(zip(outs, range(len(outs))))
+    pending = [0] * len(outs)
+    consumers: list[list[int]] = [[] for _ in outs]
+    ready: list[int] = []
+    for k, nets in enumerate(ins):
+        for n in nets:
+            j = index.get(n)
+            if j is not None:
+                pending[k] += 1
+                consumers[j].append(k)
+        if not pending[k]:
+            ready.append(k)
+    order: list[int] = []
     while ready:
-        g = ready.pop()
-        order.append(g)
-        for h in consumers.get(g.output, ()):
-            pending[h.output] -= 1
-            if pending[h.output] == 0:
+        k = ready.pop()
+        order.append(k)
+        for h in consumers[k]:
+            pending[h] -= 1
+            if not pending[h]:
                 ready.append(h)
     return order
 
 
-def _net_on_cycle(batch: list[Gate], order: list[Gate]) -> int:
+def _net_on_cycle(ins: list[tuple[int, ...]], outs: list[int], order: list[int]) -> int:
     """A net on a cycle of the batch gates missing from order: from the first
     of them, follow the first input that one of them drives until a net
     repeats."""
-    placed = {g.output for g in order}
-    stuck = {g.output: g for g in batch if g.output not in placed}
+    placed = set(order)
+    stuck = {out: nets for k, (nets, out) in enumerate(zip(ins, outs)) if k not in placed}
     net = next(iter(stuck))
     seen: set[int] = set()
     while net not in seen:
         seen.add(net)
-        net = next(n for n in stuck[net].inputs if n in stuck)
+        net = next(n for n in stuck[net] if n in stuck)
     return net
 
 
@@ -310,8 +328,14 @@ class Netlist:
             self._net_type[i] = sig
             self._input_net[name] = i
         self._next_net = len(self._inputs)
-        self._gates: list[Gate] = []
-        self._order: list[Gate] = []  # the gates in dependency order
+        # the gates as parallel columns, in install order: kind, input nets,
+        # output net and level (None but for qconst) of gate k
+        self._kinds: list[GateKind] = []
+        self._ins: list[tuple[int, ...]] = []
+        self._outs: list[int] = []
+        self._levels: list[int | None] = []
+        self._order: list[int] = []  # the gate indices in dependency order
+        self._gates: tuple[Gate, ...] | None = None  # built when read
         self._cycle: int | None = None  # a net on the first cycle installed
         self._out_net: dict[str, int] = {}
         # (its kind's plane function, input nets, output net, level) per gate
@@ -328,12 +352,16 @@ class Netlist:
 
     @property
     def gates(self) -> tuple[Gate, ...]:
-        return tuple(self._gates)
+        if self._gates is None:
+            columns = zip(self._kinds, self._ins, self._outs, self._levels)
+            # tuple.__new__ makes each Gate without a Python-level call
+            self._gates = tuple(map(tuple.__new__, repeat(Gate), columns))
+        return self._gates
 
     def topo_gates(self) -> tuple[Gate, ...]:
         """Gates in dependency order (validates first)."""
         self.validate()
-        return tuple(self._order)
+        return tuple(map(self.gates.__getitem__, self._order))
 
     def input_net(self, name: str) -> int:
         if name not in self._input_net:
@@ -355,67 +383,167 @@ class Netlist:
     ) -> int:
         """Install one gate on the next fresh net and return that net."""
         out = self._next_net
-        self.add_gates([Gate(kind, tuple(inputs), out, level)])
+        self._add_one(kind, tuple(inputs), out, level)
         return out
 
     def add_gates(self, gates: Iterable[Gate]) -> None:
         """Install gates given in any order, all or none. Inputs may be any
         existing net or batch output; a second driver for a net, input ports
         included, raises MultipleDrivers. The batch is put in dependency
-        order as it is checked and goes after every gate installed before
-        it, none of which reads its nets. Cycles are left to validate()."""
+        order and goes after every gate installed before it, none of which
+        reads its nets. Cycles are left to validate()."""
         batch = list(gates)
+        if len(batch) == 1:
+            self._add_one(*batch[0])
+        elif batch:
+            kinds, ins, outs, levels = map(list, zip(*batch))
+            # _fits reads GateKind rows, tuples or lists of input nets and
+            # exact int nets, as from_json's columns always are; the scan
+            # checks any other batch first
+            if not (
+                set(map(type, kinds)) <= {GateKind}
+                and set(map(type, ins)) <= {tuple, list}
+                and set(map(type, chain(outs, chain.from_iterable(ins)))) <= {int}
+            ):
+                self._scan(kinds, ins, outs, levels)
+            self._add_columns(kinds, ins, outs, levels)
+
+    def _add_one(self, kind: GateKind, nets: Sequence[int], out: int, level: int | None) -> None:
+        """add_gates for one gate, which is checked faster gate by gate and
+        needs no ordering: it reads only earlier gates' nets, or its own."""
+        new_type = self._scan((kind,), (nets,), (out,), (level,))
+        self._kinds.append(kind)
+        self._ins.append(nets)
+        self._outs.append(out)
+        self._levels.append(level)
+        if out not in nets:
+            self._order.append(len(self._outs) - 1)
+        elif self._cycle is None:
+            self._cycle = out
+        self._net_type.update(new_type)
+        if out >= self._next_net:
+            self._next_net = out + 1
+        self._gates = self._cone = None
+
+    def _add_columns(
+        self,
+        kinds: list[GateKind],
+        ins: list[tuple[int, ...]],
+        outs: list[int],
+        levels: list[int | None],
+    ) -> None:
+        """add_gates over a batch given as columns: gate k is kinds[k]
+        reading ins[k], driving outs[k], with levels[k]."""
+        if not outs:
+            return
+        # a batch _fits refuses and the scan passes (a kind that only acts
+        # like a GateKind, say) is ordered by Kahn's algorithm, which takes
+        # any order
+        new_type, by_net = self._fits(kinds, ins, outs, levels) or (
+            self._scan(kinds, ins, outs, levels), False
+        )
+        base = len(self._outs)
+        self._kinds += kinds
+        self._ins += ins
+        self._outs += outs
+        self._levels += levels
+        if by_net:
+            self._order += sorted(range(base, len(self._outs)), key=self._outs.__getitem__)
+        else:
+            order = _dependency_order(ins, outs)
+            if len(order) < len(outs) and self._cycle is None:
+                self._cycle = _net_on_cycle(ins, outs, order)
+            self._order += [base + k for k in order]
+        self._net_type.update(new_type)
+        self._next_net = max(self._next_net - 1, *outs) + 1
+        self._gates = self._cone = None
+
+    def _fits(
+        self,
+        kinds: list[GateKind],
+        ins: list[tuple[int, ...]],
+        outs: list[int],
+        levels: list[int | None],
+    ) -> tuple[dict[int, SignalType], bool] | None:
+        """_scan's rules one at a time over whole columns, for GateKind rows,
+        tuples or lists of input nets and exact int nets: when the batch
+        passes them all, its output net types and whether every gate reads
+        only nets numbered below its own; else None."""
+        net_type = self._net_type
+        if len(set(outs)) != len(outs) or not net_type.keys().isdisjoint(outs):
+            return None
+        sigs = list(map(_KIND_INPUTS, kinds))
+        arities = list(map(len, ins))
+        if arities != list(map(len, sigs)):
+            return None
+        new_type = dict(zip(outs, map(_KIND_OUTPUT, kinds)))
+        flat = list(chain.from_iterable(ins))
+        # an unknown net reads as None, which is no port type
+        if list(map(new_type.get, flat, map(net_type.get, flat))) != list(
+            chain.from_iterable(sigs)
+        ):
+            return None
+        # every qconst has a level, and no other gate has one
+        q_levels = list(compress(levels, map(operator.is_, kinds, repeat(_QCONST))))
+        if sum(map(operator.is_not, levels, repeat(None))) != len(q_levels):
+            return None
+        try:
+            _level_column(q_levels, SignalType.QUAT, "qconst level")
+        except LevelOutOfRange:
+            return None
+        own = chain.from_iterable(map(repeat, outs, arities))
+        return new_type, all(map(operator.lt, flat, own))
+
+    def _scan(
+        self,
+        kinds: list[GateKind],
+        ins: list[tuple[int, ...]],
+        outs: list[int],
+        levels: list[int | None],
+    ) -> dict[int, SignalType]:
+        """The install rules gate by gate, in batch order: first every output
+        net (an exact int with no driver yet), then each gate's arity, input
+        nets (exact ints that exist, of the port's type) and level. Raises
+        the first error (tests/test_netlist_errors.py pins each error's type,
+        text and precedence); else returns the batch's output net types."""
         net_type = self._net_type
         new_type: dict[int, SignalType] = {}
-        for g in batch:
-            if g.output in net_type or g.output in new_type:
-                raise MultipleDrivers(f"net {g.output} has two drivers")
-            new_type[g.output] = g.kind.output
-        # sorted by output net, the batch is in dependency order unless a
-        # gate reads a batch net numbered at or past its own; add_gate's
-        # fresh nets and to_json's documents keep that numbering. The sort
-        # costs far less than Kahn's algorithm, which any other order needs:
-        # on shuffled documents of some 900 gates, Kahn's algorithm alone
-        # made the import, evaluation and export of each about a tenth
-        # slower (2-vCPU VM, CPython 3.11)
-        by_net = True
-        for g in batch:
-            in_sigs = g.kind.inputs
-            if len(g.inputs) != len(in_sigs):
+        for kind, out in zip(kinds, outs):
+            if type(out) is not int:
+                raise NetlistError(f"net {out!r} is not an int")
+            if out in net_type or out in new_type:
+                raise MultipleDrivers(f"net {out} has two drivers")
+            new_type[out] = kind.output
+        for kind, nets, level in zip(kinds, ins, levels):
+            in_sigs = kind.inputs
+            if len(nets) != len(in_sigs):
                 raise ArityMismatch(
-                    f"{g.kind.value} takes {len(in_sigs)} inputs, got {len(g.inputs)}"
+                    f"{kind.value} takes {len(in_sigs)} inputs, got {len(nets)}"
                 )
-            for net, sig in zip(g.inputs, in_sigs):
+            for net, sig in zip(nets, in_sigs):
+                if type(net) is not int:
+                    raise NetlistError(f"net {net!r} is not an int")
                 have = net_type.get(net)
                 if have is None:
                     have = new_type.get(net)
                     if have is None:
                         raise UnknownNet(f"net {net} does not exist")
-                    by_net = by_net and net < g.output
                 if have is not sig:
                     raise TypeMismatch(
-                        f"{g.kind.value} needs {sig.value} input, net {net} is "
+                        f"{kind.value} needs {sig.value} input, net {net} is "
                         f"{have.value}"
                     )
-            if g.kind is GateKind.QCONST:  # a missing level is None, not an int
-                _level_column((g.level,), SignalType.QUAT, "qconst level")
-            elif g.level is not None:
-                raise NetlistError(f"{g.kind.value} does not take a level")
-        if by_net:
-            self._order += sorted(batch, key=_OUTPUT) if len(batch) > 1 else batch
-        else:
-            order = _dependency_order(batch)
-            if len(order) < len(batch) and self._cycle is None:
-                self._cycle = _net_on_cycle(batch, order)
-            self._order += order
-        net_type.update(new_type)
-        self._gates += batch
-        self._next_net = max([self._next_net - 1, *new_type]) + 1
-        self._cone = None
+            if kind is _QCONST:  # a missing level is None, not an int
+                _level_column((level,), SignalType.QUAT, "qconst level")
+            elif level is not None:
+                raise NetlistError(f"{kind.value} does not take a level")
+        return new_type
 
     def connect_output(self, name: str, net: int) -> None:
         if name not in self._out_type:
             raise UnknownPort(f"no output port {name!r}")
+        if type(net) is not int:
+            raise NetlistError(f"net {net!r} is not an int")
         if net not in self._net_type:
             raise UnknownNet(f"net {net} does not exist")
         if self._net_type[net] is not self._out_type[name]:
@@ -438,12 +566,13 @@ class Netlist:
             raise CombinationalCycle(f"net {self._cycle} lies on a cycle")
         # cone of influence: walk back from the outputs, keeping the gates
         # whose net some kept gate or output reads
+        kinds, ins, outs, levels = self._kinds, self._ins, self._outs, self._levels
         live = set(self._out_net.values())
         cone = []
-        for g in reversed(self._order):
-            if g.output in live:
-                live.update(g.inputs)
-                cone.append((g.kind.planes, g.inputs, g.output, g.level))
+        for k in reversed(self._order):
+            if outs[k] in live:
+                live.update(ins[k])
+                cone.append((kinds[k].planes, ins[k], outs[k], levels[k]))
         cone.reverse()
         self._cone = cone
 
@@ -515,7 +644,7 @@ class Netlist:
     def metrics(self, costs: Mapping[GateKind, int] | None = None) -> Metrics:
         self.validate()
         # constants (cost None) are free wiring, whatever the cost table says
-        counted = [g.kind for g in self._gates if g.kind.cost is not None]
+        counted = [kind for kind in self._kinds if kind.cost is not None]
         total = 0
         for kind in counted:
             if costs is None:
@@ -526,14 +655,14 @@ class Netlist:
                 raise MissingCostEntry(f"cost table has no entry for {kind.value}")
         # depth: gate hops on the longest input->output path (a constant is on none)
         net_depth: dict[int, int] = {n: 0 for n in self._input_net.values()}
-        for g in self._order:
-            net_depth[g.output] = (
-                1 + max(net_depth[n] for n in g.inputs) if g.inputs else 0
-            )
+        ins, outs = self._ins, self._outs
+        for k in self._order:
+            nets = ins[k]
+            net_depth[outs[k]] = 1 + max(map(net_depth.__getitem__, nets)) if nets else 0
         depth = max((net_depth[self._out_net[n]] for n, _ in self._outputs), default=0)
         tally: dict[str, int] = {}
-        for g in self._gates:
-            tally[g.kind.value] = tally.get(g.kind.value, 0) + 1
+        for kind in self._kinds:
+            tally[kind.value] = tally.get(kind.value, 0) + 1
         kind_counts = tuple(sorted(tally.items()))
         return Metrics(len(counted), depth, total, kind_counts)
 
@@ -549,12 +678,14 @@ class Netlist:
             "gates": [
                 {
                     "id": k,
-                    "kind": g.kind.value,
-                    "inputs": list(g.inputs),
-                    "output": g.output,
-                    **({"level": g.level} if g.kind is GateKind.QCONST else {}),
+                    "kind": kind.value,
+                    "inputs": list(nets),
+                    "output": out,
+                    **({"level": level} if kind is GateKind.QCONST else {}),
                 }
-                for k, g in enumerate(self._gates)
+                for k, (kind, nets, out, level) in enumerate(
+                    zip(self._kinds, self._ins, self._outs, self._levels)
+                )
             ],
         }
         return json.dumps(doc, indent=2)
@@ -583,6 +714,41 @@ def _json_name(value: object) -> str:
     return value
 
 
+_GATE_FIELDS = operator.itemgetter("id", "kind", "inputs", "output")
+
+# a document's gates as columns: ids, kinds, input nets, output nets, levels
+_GateColumns = tuple[tuple, list[GateKind], list[tuple[int, ...]], list[int], list]
+
+
+def _gate_columns(gates: list) -> _GateColumns | None:
+    """The gates' columns, read a column at a time; None when a field is
+    missing or an id, net or kind is not one, which _read_gates then names."""
+    try:
+        ids, names, ins, outs = zip(*map(_GATE_FIELDS, gates))
+        levels = list(map(dict.get, gates, repeat("level")))
+        kinds = list(map(_KINDS.get, names))
+        ins = list(map(tuple, ins))
+    except (KeyError, TypeError, ValueError):
+        return None
+    if None in kinds or not set(map(type, chain(ids, outs, chain.from_iterable(ins)))) <= {int}:
+        return None
+    return ids, kinds, ins, list(outs), levels
+
+
+def _read_gates(gates: list) -> _GateColumns:
+    """The gates' columns, read gate by gate: every id first, then each
+    gate's kind, inputs, output and level. Raises KeyError, TypeError or
+    ValueError at the first field that is missing or of the wrong type."""
+    ids = tuple(_json_id(g["id"]) for g in gates)
+    kinds, ins, outs, levels = [], [], [], []
+    for g in gates:
+        kinds.append(_json_kind(g["kind"]))
+        ins.append(tuple(map(_json_id, g["inputs"])))
+        outs.append(_json_id(g["output"]))
+        levels.append(g.get("level"))
+    return ids, kinds, ins, outs, levels
+
+
 def from_json(text: str) -> Netlist:
     """Import a netlist document. Gates may appear in any order; input port i
     is net i by convention; gate ids must be unique integers, then are dropped."""
@@ -599,16 +765,7 @@ def from_json(text: str) -> Netlist:
         outputs = [
             (_json_name(p["name"]), SignalType(p["type"])) for p in doc["outputs"]
         ]
-        ids = [_json_id(g["id"]) for g in doc["gates"]]
-        gates = [
-            Gate(
-                _json_kind(g["kind"]),
-                tuple(map(_json_id, g["inputs"])),
-                _json_id(g["output"]),
-                g.get("level"),
-            )
-            for g in doc["gates"]
-        ]
+        columns = _gate_columns(doc["gates"]) or _read_gates(doc["gates"])
         out_nets = {
             p["name"]: None if p["net"] is None else _json_id(p["net"])
             for p in doc["outputs"]
@@ -616,9 +773,10 @@ def from_json(text: str) -> Netlist:
     except (KeyError, TypeError, ValueError) as exc:
         raise NetlistJsonError(f"malformed netlist document: {exc}") from exc
     nl = Netlist(inputs, outputs)
+    ids, kinds, ins, outs, levels = columns
     if len(set(ids)) != len(ids):
         raise NetlistJsonError("duplicate gate id")
-    nl.add_gates(gates)
+    nl._add_columns(kinds, ins, outs, levels)
     for name, net in out_nets.items():
         if net is None:
             raise UndrivenOutput(name)

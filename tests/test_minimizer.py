@@ -1,6 +1,7 @@
 """Exact minimizer: primes, Petrick cover, PLA parsing, XOR factoring, audit."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -446,3 +447,97 @@ def test_audit_row_order_is_stable():
         ("gf4-add", "a1"), ("gf4-add", "a2"),
         ("gf4-mul", "m1"), ("gf4-mul", "m2"),
     ]
+
+
+# --- the audit's printed forms, read back
+
+_FORM_TOKEN = re.compile(r"\s*(?:([A-Za-z]\w*)|([01])|([()^+']))")
+
+
+def read_form(text):
+    """A printed bit form as (value of a {name: bit} row, literal count).
+    Grammar, loosest first: terms joined by '+' (OR), factors joined by '^'
+    (XOR), atoms juxtaposed (AND); an atom is a name, 0, 1 or a parenthesised
+    form, each optionally followed by ' (NOT)."""
+    tokens = []
+    pos = 0
+    while pos < len(text.rstrip()):
+        m = _FORM_TOKEN.match(text, pos)
+        assert m, f"cannot read {text[pos:]!r}"
+        tokens.append(m.group(m.lastindex))
+        pos = m.end()
+    tokens.append(None)
+    at = 0
+    literals = 0
+
+    def take():
+        nonlocal at
+        at += 1
+        return tokens[at - 1]
+
+    def joined(op, part):
+        first = part()
+        rest = []
+        while tokens[at] == op:
+            take()
+            rest.append(part())
+        return first, rest
+
+    def sum_():
+        first, rest = joined("+", xor)
+        return lambda row: first(row) | any(f(row) for f in rest)
+
+    def xor():
+        first, rest = joined("^", product)
+        return lambda row: first(row) ^ sum(f(row) for f in rest) % 2
+
+    def product():
+        factors = [atom()]
+        while tokens[at] not in (None, "+", "^", ")"):
+            factors.append(atom())
+        return lambda row: int(all(f(row) for f in factors))
+
+    def atom():
+        nonlocal literals
+        token = take()
+        if token == "(":
+            value = sum_()
+            assert take() == ")"
+        elif token in ("0", "1"):
+            value = lambda row, bit=int(token): bit  # noqa: E731
+        else:
+            assert re.fullmatch(r"[A-Za-z]\w*", token), token
+            literals += 1
+            value = lambda row, name=token: row[name]  # noqa: E731
+        while tokens[at] == "'":
+            take()
+            value = lambda row, inner=value: 1 - inner(row)  # noqa: E731
+        return value
+
+    value = sum_()
+    assert tokens[at] is None, f"unread {tokens[at:]!r}"
+    return value, literals
+
+
+def test_form_reader_reads_its_grammar():
+    value, literals = read_form("x1 y1' + (x2 ^ y2)' 1")
+    assert literals == 4
+    table = [value({"x1": a, "y1": b, "x2": c, "y2": d})
+             for a, b, c, d in itertools.product((0, 1), repeat=4)]
+    want = [(a & (1 - b)) | (1 - (c ^ d)) for a, b, c, d in itertools.product((0, 1), repeat=4)]
+    assert table == want
+    assert read_form("0")[0]({}) == 0 and read_form("0")[1] == 0
+
+
+@pytest.mark.parametrize("row", minimizer._PUBLISHED, ids=lambda row: f"{row[0]}-{row[1]}")
+def test_published_form_has_its_bit_table_and_counts(row):
+    op, bit, kind, bit_index, form, lits, gates, sop = row
+    spec = bit_table_spec(kind, bit_index)
+    value, literals = read_form(form)
+    n = len(spec.names)
+    for i, want in enumerate(spec.outputs):
+        bits = {name: i >> (n - 1 - v) & 1 for v, name in enumerate(spec.names)}
+        assert value(bits) == want, (op, bit, i)
+    assert literals == lits
+    # every operator joins two subtrees of literals: one 2-input gate each
+    assert gates == max(lits - 1, 0)
