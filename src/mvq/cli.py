@@ -362,54 +362,54 @@ def cmd_compare(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the subcommands in usage order: name, help, arguments as (name or flag, help,
+# action); each runs cmd_<name>
+_COMMANDS = (
+    ("table", "print a truth table",
+     (("circuit", None, "store"), ("--bits", "bit-level core table", "store_true"))),
+    ("verify", "netlist vs reference", (("circuit", "circuit id or 'all'", "store"),)),
+    ("metrics", "gate count and depth", (("circuit", "circuit id or 'all'", "store"),)),
+    ("minimize", "exact SOP from PLA", (("pla", "PLA file, or - for stdin", "store"),
+                                        ("--xor", "XOR-factored rendering", "store_true"))),
+    ("audit", "published-equation audit", ()),
+    ("sim", "exhaustive sweep traces",
+     (("circuit", None, "store"), ("--csv", "CSV path, - for stdout", "store"),
+      ("--vcd", "VCD path, - for stdout", "store"),
+      ("--volts", "voltage-valued CSV", "store_true"))),
+    ("compare", "equivalence check", (("a", None, "store"), ("b", None, "store"))),
+)
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for one call's arguments. A subcommand is built in full only
+    if its name is one of argv's tokens; the others are bare, a name and a help
+    line. This is safe because argparse hands the rest of argv only to the
+    subparser whose name equals the command token exactly, so a subcommand
+    named nowhere in argv never parses; the usage line, --help and the
+    invalid-choice error read only the names and help lines."""
     import argparse
 
-    parser = argparse.ArgumentParser(
-        prog="mvq",
-        description="quaternary logic circuit toolkit",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="key=value config file")
+    parser = argparse.ArgumentParser(prog="mvq", description="quaternary logic circuit toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table", parents=[common], help="print a truth table")
-    p.add_argument("circuit")
-    p.add_argument("--bits", action="store_true", help="bit-level core table")
-    p.set_defaults(fn=cmd_table)
-
-    p = sub.add_parser("verify", parents=[common], help="netlist vs reference")
-    p.add_argument("circuit", help="circuit id or 'all'")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("metrics", parents=[common], help="gate count and depth")
-    p.add_argument("circuit", help="circuit id or 'all'")
-    p.set_defaults(fn=cmd_metrics)
-
-    p = sub.add_parser("minimize", parents=[common], help="exact SOP from PLA")
-    p.add_argument("pla", help="PLA file, or - for stdin")
-    p.add_argument("--xor", action="store_true", help="XOR-factored rendering")
-    p.set_defaults(fn=cmd_minimize)
-
-    p = sub.add_parser("audit", parents=[common], help="published-equation audit")
-    p.set_defaults(fn=cmd_audit)
-
-    p = sub.add_parser("sim", parents=[common], help="exhaustive sweep traces")
-    p.add_argument("circuit")
-    p.add_argument("--csv", default=None, help="CSV path, - for stdout")
-    p.add_argument("--vcd", default=None, help="VCD path, - for stdout")
-    p.add_argument("--volts", action="store_true", help="voltage-valued CSV")
-    p.set_defaults(fn=cmd_sim)
-
-    p = sub.add_parser("compare", parents=[common], help="equivalence check")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(fn=cmd_compare)
+    named = set(argv)
+    if named.intersection(name for name, _, _ in _COMMANDS):
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument("--config", default=None, help="key=value config file")
+    for name, help_text, arguments in _COMMANDS:
+        if name not in named:
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, arg_help, action in arguments:
+            p.add_argument(flag, help=arg_help, action=action)
+        # read per build, so that a patched cmd_<name> is the one that runs
+        p.set_defaults(fn=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, repeat
@@ -643,16 +644,19 @@ class Netlist:
 
     def metrics(self, costs: Mapping[GateKind, int] | None = None) -> Metrics:
         self.validate()
+        # gates per kind, counted by identity: hashing a GateKind runs the
+        # Python-level Enum.__hash__, once per gate
+        per_id = Counter(map(id, self._kinds))
+        tally = [(kind, per_id[id(kind)]) for kind in GateKind if id(kind) in per_id]
         # constants (cost None) are free wiring, whatever the cost table says
-        counted = [kind for kind in self._kinds if kind.cost is not None]
-        total = 0
-        for kind in counted:
-            if costs is None:
-                total += kind.cost
-            elif kind in costs:
-                total += costs[kind]
-            else:
-                raise MissingCostEntry(f"cost table has no entry for {kind.value}")
+        counted = [(kind, n) for kind, n in tally if kind.cost is not None]
+        if costs is None:
+            total = sum(kind.cost * n for kind, n in counted)
+        elif missing := [kind for kind, _ in counted if kind not in costs]:
+            first = min(missing, key=self._kinds.index)  # in gate order
+            raise MissingCostEntry(f"cost table has no entry for {first.value}")
+        else:
+            total = sum(costs[kind] * n for kind, n in counted)
         # depth: gate hops on the longest input->output path (a constant is on none)
         net_depth: dict[int, int] = {n: 0 for n in self._input_net.values()}
         ins, outs = self._ins, self._outs
@@ -660,11 +664,8 @@ class Netlist:
             nets = ins[k]
             net_depth[outs[k]] = 1 + max(map(net_depth.__getitem__, nets)) if nets else 0
         depth = max((net_depth[self._out_net[n]] for n, _ in self._outputs), default=0)
-        tally: dict[str, int] = {}
-        for kind in self._kinds:
-            tally[kind.value] = tally.get(kind.value, 0) + 1
-        kind_counts = tuple(sorted(tally.items()))
-        return Metrics(len(counted), depth, total, kind_counts)
+        kind_counts = tuple(sorted((kind.value, n) for kind, n in tally))
+        return Metrics(sum(n for _, n in counted), depth, total, kind_counts)
 
     def to_json(self) -> str:
         import json

@@ -4,10 +4,12 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from test_readme import EXAMPLES as README_EXAMPLES
 
 import mvq.cli
 from mvq import circuits, minimizer, sim
@@ -582,11 +584,73 @@ def test_io_errors_name_the_path(capsys, tmp_path):
     assert err.startswith(f"cannot write {dest}: [Errno 2]")
 
 
-def test_usage_errors(capsys):
+# the subcommands and their help lines, in usage order
+COMMANDS = (
+    ("table", "print a truth table"),
+    ("verify", "netlist vs reference"),
+    ("metrics", "gate count and depth"),
+    ("minimize", "exact SOP from PLA"),
+    ("audit", "published-equation audit"),
+    ("sim", "exhaustive sweep traces"),
+    ("compare", "equivalence check"),
+)
+NAMES = [name for name, _ in COMMANDS]
+
+
+def test_usage_errors(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # a narrow terminal wraps the help lines
     assert main([]) == 2
-    assert main(["frobnicate"]) == 2
-    assert main(["--help"]) == 0
     capsys.readouterr()
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    # one line per subcommand, its name then its help, in usage order
+    at = [re.search(rf"^ +{name} +{re.escape(text)}$", out, re.M) for name, text in COMMANDS]
+    assert all(at), out
+    assert [m.start() for m in at] == sorted(m.start() for m in at)
+    code, _, err = run_cli(capsys, "frobnicate")
+    assert code == 2
+    # the choice list's quoting differs between Python versions
+    _, choices = err.split("invalid choice: 'frobnicate' (choose from ")
+    assert all(re.search(rf"\b{name}\b", choices) for name in NAMES), err
+
+
+# argv lists run against the parser a call builds and the full one: the README
+# examples, the benchmark's invalid commands, help, and argv that names more
+# than one subcommand, an abbreviation or none
+PARSER_CORPUS = [
+    *(argv for argv, _ in README_EXAMPLES),
+    [], ["frobnicate"], ["-h"], ["--help"], ["--bogus", "verify", "all"],
+    ["--", "verify", "all"], ["ver"], ["compare", "verify", "table"],
+    ["table", "nosuch"], ["verify", "nosuch"], ["metrics", "nosuch"], ["sim", "nosuch"],
+    ["compare", "q2b", "mod4-add"], ["minimize", "-"],
+    *([name] for name in NAMES),
+    *([name, flag] for name in NAMES for flag in ("-h", "--help")),
+]
+
+
+def _parse(capsys, parser, argv):
+    """The namespace argv parses to, or the exit code; then stdout, stderr."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "none")
+def test_parser_for_a_call_parses_as_the_full_parser(capsys, argv):
+    full = _parse(capsys, mvq.cli.build_parser(NAMES), argv)
+    assert _parse(capsys, mvq.cli.build_parser(argv), argv) == full
+
+
+@pytest.mark.parametrize("argv", [["verify", "q2b"], ["--help"], ["sim", "--help"]])
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch, argv):
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["mvq", *argv])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
 
 
 def test_outputs_are_deterministic(capsys):

@@ -5,6 +5,7 @@ path's all-or-nothing rule."""
 import copy
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from test_table_kernel import typed_dags
 
 from mvq import netlist as nl
+from mvq.circuits import CIRCUIT_IDS, REGISTRY
 from mvq.netlist import Gate, GateKind, Netlist, SignalType, from_json
 
 B = SignalType.BIN
@@ -502,3 +504,27 @@ def test_self_loop_in_a_batch_numbered_in_order_is_a_cycle():
     }
     with pytest.raises(nl.CombinationalCycle, match="^net 2 lies on a cycle$"):
         from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("source", [*CIRCUIT_IDS, "random-2000"])
+def test_metrics_tally_matches_a_count_per_gate(source):
+    if source == "random-2000":
+        n = from_json(json.dumps(random_document(random.Random(2000), 2000)))
+    else:
+        n = REGISTRY[source].build()
+    kinds = [g.kind for g in n.gates]
+    counted = [kind for kind in kinds if kind.cost is not None]
+    m = n.metrics()
+    assert m.kind_counts == tuple(sorted(Counter(kind.value for kind in kinds).items()))
+    assert m.gate_count == len(counted)
+    assert m.transistor_estimate == sum(kind.cost for kind in counted)
+    assert n.metrics(dict.fromkeys(GateKind, 3)).transistor_estimate == 3 * len(counted)
+    if not counted:  # constants only: no table can be short
+        assert n.metrics({}) == m
+        return
+    # a table short of several kinds names the first gate's, in gate order
+    with pytest.raises(nl.MissingCostEntry, match=f"no entry for {counted[0].value}$"):
+        n.metrics({})
+    short = {kind: 1 for kind in GateKind if kind is not counted[-1]}
+    with pytest.raises(nl.MissingCostEntry, match=f"no entry for {counted[-1].value}$"):
+        n.metrics(short)
