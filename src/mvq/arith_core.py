@@ -10,8 +10,6 @@ independent oracles when checking netlists.
 from enum import Enum
 from typing import NamedTuple
 
-QUAT_LEVELS = (0, 1, 2, 3)
-
 
 class BitPair(NamedTuple):
     """Natural binary encoding of a quaternary level: value = 2*x1 + x2."""

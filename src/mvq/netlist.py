@@ -24,7 +24,8 @@ cycle, then compiles the output cone ("cone of influence", Clarke, Grumberg &
 Peled, Model Checking, 1999): the gates that some output reads, directly or
 through other gates, in dependency order. Evaluation walks only that cone,
 kept until the next construction call, which is single-context only; every
-gate is still checked, counted by `metrics` and written by `to_json`.
+gate is still checked, counted by `metrics` and written by `to_json`. The
+kernel keeps its last result on that cone the same way (`_eval_columns`).
 
 A level is an exact `int` (no `bool` or other subclass) in 0..levels-1 of
 its signal type; `_level_column` checks that rule wherever levels come in
@@ -342,6 +343,8 @@ class Netlist:
         # (its kind's plane function, input nets, output net, level) per gate
         # that reaches an output, in dependency order; validate() compiles it
         self._cone: list[tuple] | None = None
+        # the kernel's last call: (cone, rows, input columns, output columns)
+        self._memo: tuple | None = None
 
     @property
     def input_ports(self) -> tuple[tuple[str, SignalType], ...]:
@@ -594,17 +597,30 @@ class Netlist:
     def _eval_columns(self, columns: Sequence[bytes], rows: int) -> list[bytes]:
         """Whole-table kernel: one bytes column of `rows` levels per input
         port in, one per output port out. It checks no level: the caller
-        does (_level_column), unless _exhaustive_columns made the columns."""
+        does (_level_column), unless _exhaustive_columns made the columns.
+
+        It remembers its last call. A call on the same compiled cone (`is`),
+        with equal `rows` and equal input columns, returns that call's
+        outputs without evaluating; any other call replaces the entry. The
+        entry keeps its cone alive, and every construction call drops the
+        netlist's cone, so a cone that is still the same object has not
+        changed. `rows` is in the key because a netlist with no inputs has
+        no columns: `truth_table` asks for 1 row, `sim.run` for n_steps."""
         self.validate()
-        assert self._cone is not None
+        cone = self._cone
+        assert cone is not None
         if rows == 0:
             return [b""] * len(self._outputs)
+        columns = tuple(columns)
+        memo = self._memo
+        if memo is not None and memo[0] is cone and memo[1] == rows and memo[2] == columns:
+            return list(memo[3])
         full = (1 << rows) - 1
         planes: dict[int, tuple[int, int]] = {}
         for (name, sig), col in zip(self._inputs, columns):
             hi = _plane(col, _HI_DIGIT) if sig is SignalType.QUAT else 0
             planes[self._input_net[name]] = (hi, _plane(col, _LO_DIGIT))
-        for fn, ins, out, level in self._cone:
+        for fn, ins, out, level in cone:
             planes[out] = fn([planes[n] for n in ins], full, level)
         out = []
         for name, sig in self._outputs:
@@ -617,6 +633,7 @@ class Netlist:
                 )
                 col = both.to_bytes(rows, "little")
             out.append(col)
+        self._memo = (cone, rows, columns, tuple(out))
         return out
 
     def _exhaustive_columns(self) -> list[bytes]:

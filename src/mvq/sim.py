@@ -10,6 +10,9 @@ kernel, and the exporters write their text from the columns. The per-step
 views, `Stimulus.steps` and `Trace.rows`, are derived when first read.
 `run`, `Netlist.evaluate` and `Netlist.truth_table` all run that one kernel;
 the scalar reference it is tested against lives in tests/test_table_kernel.py.
+The kernel remembers its last call, keyed on the compiled cone (by identity),
+the row count and the input columns (by value), so `run(nl, sweep_all(nl))`
+right after `nl.truth_table()` gets the table's outputs without evaluating.
 Exports are byte deterministic for a fixed trace. Quaternary signals appear
 in VCD as 2-bit vectors under the natural encoding, binary signals as scalars.
 

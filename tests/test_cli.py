@@ -142,16 +142,16 @@ def test_metrics_negator_and_doubler(capsys):
 
 
 def test_metrics_custom_cost_table(capsys, tmp_path):
-    costs = {k.value: 1 for k in GateKind}
-    cost_path = tmp_path / "costs.json"
-    cost_path.write_text(json.dumps(costs))
+    cost_path = tmp_path / "costs=1.json"  # a config value may hold "="
     cfg = tmp_path / "cfg"
     cfg.write_text(f"cost_table={cost_path}\n")
-    code, out, _ = run_cli(
-        capsys, "metrics", "mod4-add", "--config", str(cfg)
-    )
-    assert code == 0
-    assert "transistor estimate: 4" in out
+    for cost in (1, 0):  # a cost of 0 is allowed
+        cost_path.write_text(json.dumps({k.value: cost for k in GateKind}))
+        code, out, _ = run_cli(
+            capsys, "metrics", "mod4-add", "--config", str(cfg)
+        )
+        assert code == 0
+        assert f"transistor estimate: {4 * cost}" in out
 
 
 def test_metrics_cost_of_a_constant_is_ignored_with_a_warning(capsys, tmp_path):
@@ -181,6 +181,17 @@ def test_cost_table_warns_once_per_constant_key(capsys, tmp_path):
         f"warning: cost for {k!r} ignored; constants are free wiring"
         for k in costs if k in ("const0", "const1", "qconst")
     ]
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "3", True, None])
+def test_cost_table_values_must_be_non_negative_ints(capsys, tmp_path, bad):
+    cost_path = tmp_path / "costs.json"
+    cost_path.write_text(json.dumps({k.value: 1 for k in GateKind} | {"and2": bad}))
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"cost_table={cost_path}\n")
+    code, out, err = run_cli(capsys, "metrics", "mod4-add", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "cost for 'and2' must be a non-negative integer" in err
 
 
 def test_metrics_missing_cost_entry(capsys, tmp_path):
@@ -295,6 +306,9 @@ def test_audit(capsys):
     fields = a1.split()
     assert fields[2] == "yes"
     assert fields[4] == "3"  # two-input gates of the published a1 form
+    assert fields[5] == "-"  # a1 has no published SOP
+    m2 = next(ln for ln in lines if ln.startswith("mod4-mul m2"))
+    assert m2.split()[5] == "2"  # the literals of m2's published SOP, x2 y2
     d2 = next(ln for ln in lines if ln.startswith("mod4-dbl d2"))
     assert " 0" in d2
 
@@ -405,9 +419,11 @@ def test_compare_differ(capsys):
 
 
 def test_compare_shape_mismatch(capsys):
-    code, _, err = run_cli(capsys, "compare", "q2b", "mod4-add")
-    assert code == 2
-    assert "port shapes differ" in err
+    # both ports differ; then only the inputs (the outputs are both q)
+    for a, b in (("q2b", "mod4-add"), ("mod4-neg", "mod4-add")):
+        code, _, err = run_cli(capsys, "compare", a, b)
+        assert code == 2
+        assert "port shapes differ" in err
 
 
 def test_compare_unknown(capsys):
@@ -425,9 +441,10 @@ def test_config_unknown_key(capsys, tmp_path):
 
 def test_config_bad_line(capsys, tmp_path):
     cfg = tmp_path / "cfg"
-    cfg.write_text("just some text\n")
+    cfg.write_text("# comment\njust some text\n")
     code, _, err = run_cli(capsys, "verify", "all", "--config", str(cfg))
     assert code == 2
+    assert f"{cfg}:2: expected key=value" in err
 
 
 def test_config_missing_file(capsys, tmp_path):

@@ -19,6 +19,7 @@ from mvq.netlist import (
     CONST_KINDS,
     GATE_SIGNATURES,
     CombinationalCycle,
+    Gate,
     GateKind,
     LevelOutOfRange,
     Netlist,
@@ -127,7 +128,17 @@ def test_truth_table_rows_equal_evaluate(n):
 @settings(max_examples=150, deadline=None)
 @given(typed_dags())
 def test_truth_table_columns_equal_run_of_sweep_all(n):
-    assert n.truth_table().columns == run(n, sweep_all(n)).columns
+    # each side on its own netlist, so neither reads the kernel's memory of
+    # the other: truth_table first, then run first
+    def fresh():
+        return from_json(n.to_json())
+
+    table = n.truth_table().columns
+    copy = fresh()
+    assert run(copy, sweep_all(copy)).columns == table
+    copy = fresh()
+    trace = run(copy, sweep_all(copy)).columns
+    assert fresh().truth_table().columns == trace
 
 
 @settings(max_examples=150, deadline=None)
@@ -261,3 +272,104 @@ def test_dead_gates_change_no_output_and_are_still_counted(n, data):
     assert metrics.gate_count == sum(g.kind not in CONST_KINDS for g in n.gates)
     assert sum(count for _, count in metrics.kind_counts) == len(n.gates)
     assert len(json.loads(n.to_json())["gates"]) == len(n.gates)
+
+
+# The kernel remembers its last call: the same compiled cone, the same row
+# count and equal input columns give back that call's outputs unevaluated.
+
+
+def mixed_netlist():
+    """y = qmux4(q; a as a level, 1, q, 3) and z = a xor (q < 2)."""
+    n = Netlist([("a", B), ("q", Q)], [("y", Q), ("z", B)])
+    a, q = n.input_net("a"), n.input_net("q")
+    a_level = n.add_gate(GateKind.B2Q, [n.add_gate(GateKind.CONST0), a])
+    one, three = (n.add_gate(GateKind.QCONST, level=lv) for lv in (1, 3))
+    n.connect_output("y", n.add_gate(GateKind.QMUX4, [q, a_level, one, q, three]))
+    n.connect_output("z", n.add_gate(GateKind.XOR2, [a, n.add_gate(GateKind.DLC2, [q])]))
+    return n
+
+
+def count_kernel_passes(n):
+    """Wrap the plane functions of n's compiled cone; the returned function
+    tells how many whole passes over the cone have run since."""
+    n.validate()
+    calls = []
+
+    def counted(fn):
+        def plane(*args):
+            calls.append(fn)
+            return fn(*args)
+
+        return plane
+
+    n._cone[:] = [(counted(fn), ins, out, level) for fn, ins, out, level in n._cone]
+    size = len(n._cone)
+    return lambda: len(calls) / size
+
+
+def test_run_of_sweep_all_after_truth_table_runs_the_kernel_once():
+    n = mixed_netlist()
+    passes = count_kernel_passes(n)
+    table = n.truth_table()
+    assert passes() == 1
+    assert run(n, sweep_all(n)).columns == table.columns
+    assert passes() == 1
+    assert list(table.rows) == reference_rows(n, all_combos(n))
+
+
+def test_an_equal_stimulus_hits_and_a_changed_row_misses():
+    n = mixed_netlist()
+    passes = count_kernel_passes(n)
+    combos = all_combos(n)
+    n.truth_table()
+    steps = [{"a": a, "q": q} for a, q in combos]
+    assert run(n, Stimulus(steps)).rows == tuple(i + o for i, o in reference_rows(n, combos))
+    assert passes() == 1  # equal columns, but not the same objects
+    changed = [combos[-1], *combos[1:]]
+    trace = run(n, Stimulus([{"a": a, "q": q} for a, q in changed]))
+    assert passes() == 2
+    assert trace.rows == tuple(i + o for i, o in reference_rows(n, changed))
+
+
+def _not_z_and_a(n):
+    """Install z' = not z and a as one batch, given out of order."""
+    top = max(g.output for g in n.gates)
+    z, a = n.output_net("z"), n.input_net("a")
+    n.add_gates([Gate(GateKind.AND2, (top + 1, a), top + 2), Gate(GateKind.NOT, (z,), top + 1)])
+    return top + 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda n: n.connect_output("z", n.add_gate(GateKind.NOT, [n.output_net("z")])),
+        lambda n: n.connect_output("z", _not_z_and_a(n)),
+        lambda n: n.connect_output("y", n.input_net("q")),
+    ],
+    ids=["add_gate", "add_gates", "connect_output"],
+)
+def test_a_construction_call_after_truth_table_gives_the_new_outputs(change):
+    n = mixed_netlist()
+    before = n.truth_table().rows
+    change(n)
+    rows = reference_rows(n, all_combos(n))
+    assert rows != list(before)
+    assert list(n.truth_table().rows) == rows
+    assert run(n, sweep_all(n)).rows == tuple(i + o for i, o in rows)
+
+
+def test_no_inputs_one_table_row_then_three_steps():
+    n = Netlist([], [("k", Q)])
+    n.connect_output("k", n.add_gate(GateKind.QCONST, level=2))
+    assert n.truth_table().rows == (((), (2,)),)
+    assert run(n, Stimulus(({},) * 3)).rows == ((2,),) * 3
+    assert n.truth_table().rows == (((), (2,)),)
+
+
+def test_evaluate_between_table_and_run_changes_no_result():
+    n = mixed_netlist()
+    passes = count_kernel_passes(n)
+    table = n.truth_table()
+    assert n.evaluate({"a": 1, "q": 3}) == reference_eval(n, {"a": 1, "q": 3})
+    assert run(n, sweep_all(n)).columns == table.columns
+    assert passes() == 3
