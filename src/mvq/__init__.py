@@ -10,7 +10,6 @@ from .arith_core import (
     BitPair,
     OpKind,
     apply_op,
-    bitwise_formula,
     decode_b2q,
     encode_q2b,
     gf4_add,
@@ -27,7 +26,6 @@ __all__ = [
     "BitPair",
     "OpKind",
     "apply_op",
-    "bitwise_formula",
     "decode_b2q",
     "encode_q2b",
     "gf4_add",

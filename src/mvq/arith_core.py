@@ -1,10 +1,9 @@
 """Ground-truth quaternary arithmetic.
 
-Value tables for the mod-4 ring and the four-element Galois field, the
-natural 2-bit encoding, and the published two-level bit formulas for each
-operation. Everything here is table- or definition-driven and shares no
-code with the gate-level models, so these functions can serve as
-independent oracles when checking netlists.
+Value tables for the mod-4 ring and the four-element Galois field, and the
+natural 2-bit encoding. Everything here is table- or definition-driven and
+shares no code with the gate-level models, so these functions can serve as
+independent oracles when checking netlists and the published bit forms.
 """
 
 from enum import Enum
@@ -156,43 +155,3 @@ def apply_op(kind: OpKind, a: int, b: int | None = None) -> int:
     }[kind]
     return fn(a, b)
 
-
-def bitwise_formula(
-    kind: OpKind,
-    x: BitPair | tuple[int, int],
-    y: BitPair | tuple[int, int] | None = None,
-) -> BitPair:
-    """Evaluate the published minimal two-level form for `kind`, literally
-    as written. Decoding the result must reproduce the table oracle for
-    every kind on every input pair.
-    """
-    x1, x2 = x
-    _check_bit(x1, "x1")
-    _check_bit(x2, "x2")
-    if kind is OpKind.MOD4_NEG:
-        return BitPair(x1 ^ x2, x2)
-    if kind is OpKind.MOD4_DOUBLE:
-        return BitPair(x2, 0)
-    if y is None:
-        raise ValueError(f"{kind.value} needs a second operand")
-    y1, y2 = y
-    _check_bit(y1, "y1")
-    _check_bit(y2, "y2")
-    if kind is OpKind.MOD4_ADD:
-        return BitPair((x1 ^ y1) ^ (x2 & y2), x2 ^ y2)
-    if kind is OpKind.MOD4_SUB:
-        return BitPair((x1 ^ y1) ^ ((x2 ^ 1) & y2), x2 ^ y2)
-    if kind is OpKind.MOD4_MUL:
-        return BitPair((x1 & y2) ^ (x2 & y1), x2 & y2)
-    if kind is OpKind.GF4_ADD:
-        return BitPair(x1 ^ y1, x2 ^ y2)
-    if kind is OpKind.GF4_MUL:
-        m1 = (
-            (x1 & (y1 ^ 1) & y2)
-            | (x1 & (x2 ^ 1) & y1 & (y2 ^ 1))
-            | ((x1 ^ 1) & x2 & y1)
-            | (x2 & y1 & y2)
-        )
-        m2 = (x1 & y1) ^ (x2 & y2)
-        return BitPair(m1, m2)
-    raise ValueError(f"unknown operation kind {kind!r}")

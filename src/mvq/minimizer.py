@@ -3,8 +3,8 @@
 Prime generation on int row masks plus Petrick set cover. The cover is exact,
 but Petrick's product-of-sums expansion holds every partial solution, so on
 dense 7- and 8-variable functions it can run for minutes; the audited
-functions have 2 or 4 variables. The audit re-derives every published
-output-bit equation from its defining table and compares costs mechanically.
+functions have 2 or 4 variables. The audit reads each published output-bit
+equation as printed, checks it against its defining table and counts its cost.
 
 Cube notation: one character per variable, '1' plain literal, '0' complemented
 literal, '-' absent. Rendering and tie-breaks order cubes by the per-position
@@ -27,7 +27,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .arith_core import BitPair, OpKind, apply_op, bitwise_formula, encode_q2b
+from .arith_core import OpKind, apply_op, encode_q2b
 
 DC = "-"
 
@@ -557,30 +557,30 @@ def parse_pla(text: str) -> TruthTableSpec:
 
 
 # published output-bit equations: (op id, bit name, op kind, bit index,
-# rendered form, literal count as written, 2-input gate count, SOP cube list
-# when the form is two-level)
+# printed form, SOP cube list when the form is two-level); the audit reads
+# the printed form for its table and its literal and gate counts
 _PUBLISHED: tuple = (
-    ("mod4-add", "a1", OpKind.MOD4_ADD, 0, "(x1 ^ y1) ^ (x2 y2)", 4, 3, None),
-    ("mod4-add", "a2", OpKind.MOD4_ADD, 1, "x2 ^ y2", 2, 1, None),
+    ("mod4-add", "a1", OpKind.MOD4_ADD, 0, "(x1 ^ y1) ^ (x2 y2)", None),
+    ("mod4-add", "a2", OpKind.MOD4_ADD, 1, "x2 ^ y2", None),
     (
-        "mod4-mul", "m1", OpKind.MOD4_MUL, 0, "(x1 y2) ^ (x2 y1)", 4, 3,
+        "mod4-mul", "m1", OpKind.MOD4_MUL, 0, "(x1 y2) ^ (x2 y1)",
         ("1-01", "10-1", "011-", "-110"),
     ),
-    ("mod4-mul", "m2", OpKind.MOD4_MUL, 1, "x2 y2", 2, 1, ("-1-1",)),
-    ("mod4-sub", "s1", OpKind.MOD4_SUB, 0, "(x1 ^ y1) ^ (x2' y2)", 4, 3, None),
-    ("mod4-sub", "s2", OpKind.MOD4_SUB, 1, "x2 ^ y2", 2, 1, ("-1-0", "-0-1")),
-    ("mod4-neg", "n1", OpKind.MOD4_NEG, 0, "x1 ^ x2", 2, 1, None),
-    ("mod4-neg", "n2", OpKind.MOD4_NEG, 1, "x2", 1, 0, ("-1",)),
-    ("mod4-dbl", "d1", OpKind.MOD4_DOUBLE, 0, "x2", 1, 0, ("-1",)),
-    ("mod4-dbl", "d2", OpKind.MOD4_DOUBLE, 1, "0", 0, 0, ()),
-    ("gf4-add", "a1", OpKind.GF4_ADD, 0, "x1 ^ y1", 2, 1, None),
-    ("gf4-add", "a2", OpKind.GF4_ADD, 1, "x2 ^ y2", 2, 1, None),
+    ("mod4-mul", "m2", OpKind.MOD4_MUL, 1, "x2 y2", ("-1-1",)),
+    ("mod4-sub", "s1", OpKind.MOD4_SUB, 0, "(x1 ^ y1) ^ (x2' y2)", None),
+    ("mod4-sub", "s2", OpKind.MOD4_SUB, 1, "x2 ^ y2", ("-1-0", "-0-1")),
+    ("mod4-neg", "n1", OpKind.MOD4_NEG, 0, "x1 ^ x2", None),
+    ("mod4-neg", "n2", OpKind.MOD4_NEG, 1, "x2", ("-1",)),
+    ("mod4-dbl", "d1", OpKind.MOD4_DOUBLE, 0, "x2", ("-1",)),
+    ("mod4-dbl", "d2", OpKind.MOD4_DOUBLE, 1, "0", ()),
+    ("gf4-add", "a1", OpKind.GF4_ADD, 0, "x1 ^ y1", None),
+    ("gf4-add", "a2", OpKind.GF4_ADD, 1, "x2 ^ y2", None),
     (
         "gf4-mul", "m1", OpKind.GF4_MUL, 0,
-        "x1 y1' y2 + x1 x2' y1 y2' + x1' x2 y1 + x2 y1 y2", 13, 12,
+        "x1 y1' y2 + x1 x2' y1 y2' + x1' x2 y1 + x2 y1 y2",
         ("1-01", "1010", "011-", "-111"),
     ),
-    ("gf4-mul", "m2", OpKind.GF4_MUL, 1, "(x1 y1) ^ (x2 y2)", 4, 3, None),
+    ("gf4-mul", "m2", OpKind.GF4_MUL, 1, "(x1 y1) ^ (x2 y2)", None),
 )
 
 
@@ -610,26 +610,71 @@ def bit_table_spec(kind: OpKind, bit_index: int) -> TruthTableSpec:
     return TruthTableSpec(default_names(n_vars), tuple(outputs))
 
 
-def _published_bit(kind: OpKind, bit_index: int, bits: tuple[int, ...]) -> int:
-    pairs = [BitPair(*bits[k:k + 2]) for k in range(0, len(bits), 2)]
-    return bitwise_formula(kind, *pairs)[bit_index]
+_FORM_SPACING = str.maketrans({ch: f" {ch} " for ch in "()^+'"})
+
+
+def _form_rows(form: str, names: tuple[str, ...]) -> tuple[int, int]:
+    """The rows where a printed form is 1, and its literal count. Grammar,
+    loosest first: '+' is OR, '^' is XOR, juxtaposition is AND; an atom is a
+    name, 0 or a parenthesised form, optionally followed by ' (NOT)."""
+    n = len(names)
+    tokens = ["", *reversed(form.translate(_FORM_SPACING).split())]  # next token last
+
+    def either() -> int:
+        rows = exclusive()
+        while tokens[-1] == "+":
+            tokens.pop()
+            rows |= exclusive()
+        return rows
+
+    def exclusive() -> int:
+        rows = product()
+        while tokens[-1] == "^":
+            tokens.pop()
+            rows ^= product()
+        return rows
+
+    def product() -> int:
+        rows = atom()
+        while tokens[-1] not in ("", "+", "^", ")"):
+            rows &= atom()
+        return rows
+
+    def atom() -> int:
+        token = tokens.pop()
+        if token == "(":
+            rows = either()
+            if tokens.pop() != ")":
+                raise ValueError(f"cannot read form {form!r}")
+        elif token == "0":
+            rows = 0
+        elif token in names:
+            rows = _literal_rows(names.index(token), n)
+        else:
+            raise ValueError(f"cannot read form {form!r}")
+        if tokens[-1] == "'":
+            tokens.pop()
+            rows ^= (1 << 2 ** n) - 1
+        return rows
+
+    literals = sum(token in names for token in tokens)
+    rows = either()
+    if tokens != [""]:
+        raise ValueError(f"cannot read form {form!r}")
+    return rows, literals
 
 
 def audit_published_forms() -> tuple[AuditRow, ...]:
-    """Re-derive each published output-bit equation and compare costs."""
+    """Read each published output-bit equation and compare its costs."""
     rows = []
-    for op, bit, kind, bit_index, form, lits, gates, sop in _PUBLISHED:
+    for op, bit, kind, bit_index, form, sop in _PUBLISHED:
         spec = bit_table_spec(kind, bit_index)
-        equivalent = all(
-            _published_bit(kind, bit_index, spec.row_bits(i)) == spec.outputs[i]
-            for i in range(2 ** spec.n_vars)
-        )
+        form_rows, lits = _form_rows(form, spec.names)
+        equivalent = form_rows == spec.on
+        sop_lits = None
         if sop is not None:
-            expr = SopExpr(spec.n_vars, tuple(sorted(sop, key=_cube_key)))
-            equivalent = equivalent and check_equiv(expr, spec)
+            equivalent = equivalent and check_equiv(SopExpr(spec.n_vars, sop), spec)
             sop_lits = sum(cube_literal_count(c) for c in sop)
-        else:
-            sop_lits = None
         best = minimize_exact(spec)
         rows.append(
             AuditRow(
@@ -637,7 +682,7 @@ def audit_published_forms() -> tuple[AuditRow, ...]:
                 bit=bit,
                 published_form=form,
                 published_literals=lits,
-                published_gates_2in=gates,
+                published_gates_2in=max(lits - 1, 0),
                 published_sop_literals=sop_lits,
                 equivalent=equivalent,
                 min_terms=best.term_count,

@@ -1,4 +1,4 @@
-"""Reference-table oracles: published values, algebraic laws, bit formulas."""
+"""Reference-table oracles: published values, algebraic laws, the 2-bit encoding."""
 
 import itertools
 import subprocess
@@ -12,7 +12,6 @@ from mvq.arith_core import (
     BitPair,
     OpKind,
     apply_op,
-    bitwise_formula,
     decode_b2q,
     encode_q2b,
     gf4_add,
@@ -164,38 +163,6 @@ def test_gf4_field_axioms_exhaustive():
         assert gf4_add(a, a) == 0
 
 
-@pytest.mark.parametrize(
-    "kind,x,y,expected",
-    [
-        (OpKind.MOD4_MUL, (1, 0), (1, 1), (1, 0)),
-        (OpKind.GF4_MUL, (1, 0), (1, 0), (1, 1)),
-        (OpKind.MOD4_ADD, (1, 0), (1, 1), (0, 1)),
-        (OpKind.MOD4_SUB, (1, 0), (1, 1), (1, 1)),
-    ],
-)
-def test_bitwise_formula_reference_values(kind, x, y, expected):
-    assert bitwise_formula(kind, x, y) == BitPair(*expected)
-
-
-def test_bitwise_formula_unary_ignores_second_argument():
-    assert bitwise_formula(OpKind.MOD4_NEG, (0, 0)) == BitPair(0, 0)
-    assert bitwise_formula(OpKind.MOD4_NEG, (0, 1), (1, 1)) == BitPair(1, 1)
-    assert bitwise_formula(OpKind.MOD4_DOUBLE, (1, 1)) == BitPair(1, 0)
-
-
-def test_bitwise_formula_matches_oracle_everywhere():
-    binary_kinds = [k for k in OpKind if k.arity == 2]
-    unary_kinds = [k for k in OpKind if k.arity == 1]
-    for kind in binary_kinds:
-        for a, b in PAIRS:
-            got = decode_b2q(bitwise_formula(kind, encode_q2b(a), encode_q2b(b)))
-            assert got == apply_op(kind, a, b), (kind, a, b)
-    for kind in unary_kinds:
-        for a in QUATS:
-            got = decode_b2q(bitwise_formula(kind, encode_q2b(a)))
-            assert got == apply_op(kind, a), (kind, a)
-
-
 def test_apply_op_matches_named_functions():
     for a, b in PAIRS:
         assert apply_op(OpKind.MOD4_ADD, a, b) == mod4_add(a, b)
@@ -223,8 +190,6 @@ def test_domain_errors():
         encode_q2b(5)
     with pytest.raises(ValueError):
         decode_b2q((2, 0))
-    with pytest.raises(ValueError):
-        bitwise_formula(OpKind.MOD4_ADD, (0, 1))
     with pytest.raises(ValueError):
         apply_op(OpKind.GF4_ADD, 1)
 

@@ -296,21 +296,56 @@ def test_minimize_missing_file(capsys, tmp_path):
     assert code == 3
 
 
+# header, 14 rows and the summary; lits and gates2 are counted from the
+# published-form column, sop-lits from the published SOP cubes
+AUDIT_STDOUT = """\
+op       bit equiv lits gates2 sop-lits min-terms min-lits published-form                                   min-sop
+mod4-add a1  yes   4    3      -        6         20       (x1 ^ y1) ^ (x2 y2)                              x1 x2 y1 y2 + x1 x2' y1' + x1 y1' y2' + x1' x2 y1' y2 + x1' x2' y1 + x1' y1 y2'
+mod4-add a2  yes   2    1      -        2         4        x2 ^ y2                                          x2 y2' + x2' y2
+mod4-mul m1  yes   4    3      12       4         12       (x1 y2) ^ (x2 y1)                                x1 x2' y2 + x1 y1' y2 + x1' x2 y1 + x2 y1 y2'
+mod4-mul m2  yes   2    1      2        1         2        x2 y2                                            x2 y2
+mod4-sub s1  yes   4    3      -        6         20       (x1 ^ y1) ^ (x2' y2)                             x1 x2 y1' + x1 x2' y1 y2 + x1 y1' y2' + x1' x2 y1 + x1' x2' y1' y2 + x1' y1 y2'
+mod4-sub s2  yes   2    1      4        2         4        x2 ^ y2                                          x2 y2' + x2' y2
+mod4-neg n1  yes   2    1      -        2         4        x1 ^ x2                                          x1 x2' + x1' x2
+mod4-neg n2  yes   1    0      1        1         1        x2                                               x2
+mod4-dbl d1  yes   1    0      1        1         1        x2                                               x2
+mod4-dbl d2  yes   0    0      0        0         0        0                                                0
+gf4-add  a1  yes   2    1      -        2         4        x1 ^ y1                                          x1 y1' + x1' y1
+gf4-add  a2  yes   2    1      -        2         4        x2 ^ y2                                          x2 y2' + x2' y2
+gf4-mul  m1  yes   13   12     13       4         13       x1 y1' y2 + x1 x2' y1 y2' + x1' x2 y1 + x2 y1 y2 x1 x2 y2 + x1 x2' y1 y2' + x1 y1' y2 + x1' x2 y1
+gf4-mul  m2  yes   4    3      -        4         12       (x1 y1) ^ (x2 y2)                                x1 x2' y1 + x1 y1 y2' + x1' x2 y2 + x2 y1' y2
+14/14 published forms equivalent to their tables
+"""
+
+
 def test_audit(capsys):
     code, out, _ = run_cli(capsys, "audit")
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 16  # header + 14 rows + summary
-    assert lines[-1] == "14/14 published forms equivalent to their tables"
-    a1 = next(ln for ln in lines if ln.startswith("mod4-add a1"))
-    fields = a1.split()
-    assert fields[2] == "yes"
-    assert fields[4] == "3"  # two-input gates of the published a1 form
-    assert fields[5] == "-"  # a1 has no published SOP
-    m2 = next(ln for ln in lines if ln.startswith("mod4-mul m2"))
-    assert m2.split()[5] == "2"  # the literals of m2's published SOP, x2 y2
-    d2 = next(ln for ln in lines if ln.startswith("mod4-dbl d2"))
-    assert " 0" in d2
+    assert out == AUDIT_STDOUT
+
+
+def _published_row(op, bit):
+    return next(row for row in minimizer._PUBLISHED if row[:2] == (op, bit))
+
+
+def test_audit_reads_the_form_it_prints(capsys, monkeypatch):
+    # m2's table is x2 y2; the printed form x2 y1 disagrees with it
+    m2 = _published_row("mod4-mul", "m2")
+    monkeypatch.setattr(minimizer, "_PUBLISHED", (m2[:4] + ("x2 y1",) + m2[5:],))
+    code, out, _ = run_cli(capsys, "audit")
+    assert code == 1
+    assert out.splitlines()[1].split()[:5] == ["mod4-mul", "m2", "NO", "2", "1"]
+    assert out.splitlines()[1].split()[-4:] == ["x2", "y1", "x2", "y2"]
+
+
+def test_audit_reads_the_form_at_its_bit_index(capsys, monkeypatch):
+    # n1 = x1 ^ x2 is bit 0 of mod4-neg; bit 1 is x2
+    n1 = _published_row("mod4-neg", "n1")
+    monkeypatch.setattr(minimizer, "_PUBLISHED", (n1[:3] + (1,) + n1[4:],))
+    code, out, _ = run_cli(capsys, "audit")
+    assert code == 1
+    assert out.splitlines()[1].split()[:3] == ["mod4-neg", "n1", "NO"]
+    assert out.splitlines()[-1] == "0/1 published forms equivalent to their tables"
 
 
 def test_audit_a_wrong_published_sop_reads_no(capsys, monkeypatch):

@@ -529,15 +529,78 @@ def test_form_reader_reads_its_grammar():
     assert read_form("0")[0]({}) == 0 and read_form("0")[1] == 0
 
 
+# (literals, 2-input gates, SOP literals) of each published form, as the
+# audit prints them
+PUBLISHED_COUNTS = {
+    ("mod4-add", "a1"): (4, 3, None),
+    ("mod4-add", "a2"): (2, 1, None),
+    ("mod4-mul", "m1"): (4, 3, 12),
+    ("mod4-mul", "m2"): (2, 1, 2),
+    ("mod4-sub", "s1"): (4, 3, None),
+    ("mod4-sub", "s2"): (2, 1, 4),
+    ("mod4-neg", "n1"): (2, 1, None),
+    ("mod4-neg", "n2"): (1, 0, 1),
+    ("mod4-dbl", "d1"): (1, 0, 1),
+    ("mod4-dbl", "d2"): (0, 0, 0),
+    ("gf4-add", "a1"): (2, 1, None),
+    ("gf4-add", "a2"): (2, 1, None),
+    ("gf4-mul", "m1"): (13, 12, 13),
+    ("gf4-mul", "m2"): (4, 3, None),
+}
+
+
+def test_audit_counts_are_the_published_ones():
+    got = {
+        (r.op, r.bit): (r.published_literals, r.published_gates_2in, r.published_sop_literals)
+        for r in audit_published_forms()
+    }
+    assert got == PUBLISHED_COUNTS
+
+
+def form_table(text, names):
+    """The rows where read_form's value is 1, as a mask, and its literal count."""
+    value, literals = read_form(text)
+    n = len(names)
+    rows = 0
+    for i in range(2 ** n):
+        if value({name: i >> (n - 1 - v) & 1 for v, name in enumerate(names)}):
+            rows |= 1 << i
+    return rows, literals
+
+
 @pytest.mark.parametrize("row", minimizer._PUBLISHED, ids=lambda row: f"{row[0]}-{row[1]}")
 def test_published_form_has_its_bit_table_and_counts(row):
-    op, bit, kind, bit_index, form, lits, gates, sop = row
+    op, bit, kind, bit_index, form, sop = row
     spec = bit_table_spec(kind, bit_index)
-    value, literals = read_form(form)
-    n = len(spec.names)
-    for i, want in enumerate(spec.outputs):
-        bits = {name: i >> (n - 1 - v) & 1 for v, name in enumerate(spec.names)}
-        assert value(bits) == want, (op, bit, i)
+    rows, literals = form_table(form, spec.names)
+    assert rows == spec.on, (op, bit)
+    lits, gates, _ = PUBLISHED_COUNTS[(op, bit)]
     assert literals == lits
     # every operator joins two subtrees of literals: one 2-input gate each
     assert gates == max(lits - 1, 0)
+    # the audit's own reader agrees with this one
+    assert minimizer._form_rows(form, spec.names) == (rows, literals)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1 y1' + (x2 ^ y2)'",
+        "x1 + x2 ^ y1 y2",
+        "(x1 + x2) (y1 ^ y2')",
+        "x1 ^ x2 ^ y1 ^ y2",
+        "(x1 y1)' + 0 ^ x2",
+        "((x2))' y2 + x1 x1",
+        "0'",
+    ],
+)
+def test_form_rows_agrees_with_the_reference_reader(text):
+    names = default_names(4)
+    assert minimizer._form_rows(text, names) == form_table(text, names)
+
+
+@pytest.mark.parametrize("text", ["(x1", "x1 ^", "z9", "x1 ) x2", "x1 +", "", "x1 * x2", "x1''"])
+def test_form_rows_refuses_what_it_cannot_read(text):
+    with pytest.raises(ValueError) as err:
+        minimizer._form_rows(text, default_names(4))
+    assert str(err.value) == f"cannot read form {text!r}"
