@@ -7,11 +7,12 @@ levels) and builds `Gate` values only when `gates` or `topo_gates()` is read.
 
 Gates go in a batch at a time, all or none: `add_gates`, `from_json` (which
 reads a document's gates a column at a time) and `add_gate` (one gate on a
-fresh net). A batch of several gates is checked one rule at a time over
-whole columns (`_fits`). A batch those checks refuse, and a single gate, goes
-through `_scan`, which checks gate by gate in batch order; it is the one
-source of every install error's type, text and precedence, and it accepts
-exactly the batches the column checks accept.
+fresh net). Every batch of `add_gates` and `add_gate` goes through `_scan`,
+which checks gate by gate in batch order; it is the one source of every
+install error's type, text and precedence. Only `from_json`'s columns are
+checked one rule at a time over whole columns (`_fits`) first, and only a
+document those checks refuse is scanned; the scan accepts exactly the
+batches the column checks accept.
 
 Each batch is put in dependency order and appended to the order of every
 gate before it, since earlier gates never read a later net; a single gate
@@ -397,24 +398,15 @@ class Netlist:
         order and goes after every gate installed before it, none of which
         reads its nets. Cycles are left to validate()."""
         batch = list(gates)
-        if len(batch) == 1:
-            self._add_one(*batch[0])
-        elif batch:
-            kinds, ins, outs, levels = map(list, zip(*batch))
-            # _fits reads GateKind rows, tuples or lists of input nets and
-            # exact int nets, as from_json's columns always are; the scan
-            # checks any other batch first
-            if not (
-                set(map(type, kinds)) <= {GateKind}
-                and set(map(type, ins)) <= {tuple, list}
-                and set(map(type, chain(outs, chain.from_iterable(ins)))) <= {int}
-            ):
-                self._scan(kinds, ins, outs, levels)
-            self._add_columns(kinds, ins, outs, levels)
+        if batch:
+            columns = list(map(list, zip(*batch)))
+            self._scan(*columns)
+            self._add_columns(*columns)
 
     def _add_one(self, kind: GateKind, nets: Sequence[int], out: int, level: int | None) -> None:
-        """add_gates for one gate, which is checked faster gate by gate and
-        needs no ordering: it reads only earlier gates' nets, or its own."""
+        """add_gate's install of one gate, which is checked faster gate by
+        gate and needs no ordering: it reads only earlier gates' nets, or its
+        own."""
         new_type = self._scan((kind,), (nets,), (out,), (level,))
         self._kinds.append(kind)
         self._ins.append(nets)
@@ -469,8 +461,8 @@ class Netlist:
         outs: list[int],
         levels: list[int | None],
     ) -> tuple[dict[int, SignalType], bool] | None:
-        """_scan's rules one at a time over whole columns, for GateKind rows,
-        tuples or lists of input nets and exact int nets: when the batch
+        """_scan's rules one at a time over whole columns, for exact int nets
+        (from_json's columns, or a batch the scan passed): when the batch
         passes them all, its output net types and whether every gate reads
         only nets numbered below its own; else None."""
         net_type = self._net_type

@@ -21,9 +21,8 @@ writes its text into a bytes body of fixed-width rows, one strided slice per
 byte position of a column, and deletes the padding (_FILL) once. Time
 stamps are such columns too, one per decimal digit of the last time, each a
 repeated cycle of ten runs of one digit, with _FILL for leading zeros; the
-VCD keeps those of the rows where some signal changes. `parse_csv` reads
-`export_csv`'s text back one strided slice per column, and any other text
-row by row.
+VCD keeps those of the rows where some signal changes. `parse_csv`, which no
+command calls, reads a CSV back row by row.
 """
 
 from __future__ import annotations
@@ -253,47 +252,6 @@ def export_csv(trace: Trace) -> str:
     return _write_csv(trace, _LEVEL_TABLES)
 
 
-# a cell byte of the levels view to its level
-_CELL_LEVEL = bytes.maketrans(b"0123", bytes(range(4)))
-
-
-def _read_columns(lines: list[str], signals: tuple[tuple[str, SignalType], ...]) -> Trace | None:
-    """The trace of CSV data lines that are exactly as export_csv writes
-    them, for one signal or more, read one strided slice per column; None
-    for any other lines."""
-    n, k = len(lines), len(signals)
-    if not n or not k:
-        return None
-    # the last time first: it is one comparison, and most faults fail it
-    if lines[-1].partition(",")[0] != str(n - 1):
-        return None
-    data = ("\n".join(lines) + "\n").encode()
-    times = _time_digits(n)
-    cells: list[list[bytes]] = [[] for _ in signals]
-    # the rows whose times have the same number of digits have one width,
-    # so each such run of rows is read as one strided table
-    start = offset = 0
-    for size in range(1, len(times) + 1):
-        end = min(n, 10 ** size)
-        rows = end - start
-        width = size + 2 * k + 1
-        block = data[offset : offset + rows * width]
-        expected = [column[start:end] for column in times[-size:]]
-        if [block[m::width] for m in range(size)] != expected:
-            return None
-        for m in range(size, width, 2):
-            if block[m::width] != (b"," if m < width - 1 else b"\n") * rows:
-                return None
-        for j, (_, sig) in enumerate(signals):
-            cell = block[size + 1 + 2 * j :: width]
-            if cell.translate(None, b"0123"[: sig.levels]):
-                return None
-            cells[j].append(cell)
-        start, offset = end, offset + rows * width
-    columns = tuple(b"".join(col).translate(_CELL_LEVEL) for col in cells)
-    return Trace._of_columns(signals, columns, n)
-
-
 def parse_csv(text: str, types: Mapping[str, SignalType]) -> Trace:
     """Inverse of export_csv (levels view only). Signal types are supplied by
     the caller; each cell must be one of its signal's levels as export_csv
@@ -313,11 +271,8 @@ def parse_csv(text: str, types: Mapping[str, SignalType]) -> Trace:
         if name not in types:
             raise ValueError(f"no signal type given for {name!r}")
     signals = tuple((name, types[name]) for name in names)
-    trace = _read_columns(lines[1:], signals)
-    if trace is not None:
-        return trace
-    # not as export_csv writes them: row by row, naming the first fault,
-    # with per signal the level of each cell export_csv can write for it
+    # row by row, naming the first fault, with per signal the level of each
+    # cell export_csv can write for it
     levels = [dict(zip(_LEVEL_CELLS, range(sig.levels))) for _, sig in signals]
     rows = []
     times = []

