@@ -381,25 +381,25 @@ _COMMANDS = (
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for one call's arguments. A subcommand is built in full only
-    if its name is one of argv's tokens; the others are bare, a name and a help
-    line. This is safe because argparse hands the rest of argv only to the
-    subparser whose name equals the command token exactly, so a subcommand
-    named nowhere in argv never parses; the usage line, --help and the
-    invalid-choice error read only the names and help lines."""
+    """The parser for one call's arguments. Each subcommand's name and help
+    line are kept, and they are all the usage line, --help and the
+    invalid-choice error read; a parser is built only for a subcommand named
+    by one of argv's tokens, the others map to None. argparse hands the rest
+    of argv only to the subparser whose name equals the command token, so a
+    None is never called. prog="mvq" is the prefix argparse would derive."""
     import argparse
 
+    def subparser(reached: bool, **kwargs: object) -> argparse.ArgumentParser | None:
+        return argparse.ArgumentParser(**kwargs) if reached else None
+
     parser = argparse.ArgumentParser(prog="mvq", description="quaternary logic circuit toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="mvq", parser_class=subparser)
     named = set(argv)
-    if named.intersection(name for name, _, _ in _COMMANDS):
-        common = argparse.ArgumentParser(add_help=False)
-        common.add_argument("--config", default=None, help="key=value config file")
     for name, help_text, arguments in _COMMANDS:
-        if name not in named:
-            sub.add_parser(name, help=help_text, add_help=False)
+        p = sub.add_parser(name, help=help_text, reached=name in named)
+        if p is None:
             continue
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("--config", default=None, help="key=value config file")
         for flag, arg_help, action in arguments:
             p.add_argument(flag, help=arg_help, action=action)
         # read per build, so that a patched cmd_<name> is the one that runs

@@ -319,19 +319,19 @@ class XorReport:
     form: str  # const | single-term | xor-pair | mixed | sop
 
 
-def _all_cubes(n: int):
-    for combo in itertools.product("1" + "0" + DC, repeat=n):
-        cube = "".join(combo)
-        if cube != DC * n:
-            yield cube
+@functools.cache
+def _cubes_by_rows(n: int) -> dict[int, str]:
+    # every n-variable cube but the all-dash one, keyed by its rows (distinct
+    # cubes cover distinct rows); shared between calls, so only read
+    cubes = ("".join(combo) for combo in itertools.product("1" + "0" + DC, repeat=n))
+    return {_cube_rows(*_cube_mask(c)): c for c in cubes if c != DC * n}
 
 
 def _xor_pair_search(e: SopExpr) -> tuple[str, str] | None:
     """Find cubes P, Q with P xor Q equivalent to e, minimizing literals."""
-    n = e.n_vars
     target = _sop_rows(e.cubes)
-    # distinct cubes cover distinct rows, so P's rows fix Q's
-    by_rows = {_cube_rows(*_cube_mask(c)): c for c in _all_cubes(n)}
+    # P's rows fix Q's
+    by_rows = _cubes_by_rows(e.n_vars)
     best: tuple[tuple, str, str] | None = None
     for rows, p in by_rows.items():
         q = by_rows.get(rows ^ target)

@@ -1,5 +1,6 @@
 """CLI behavior: output formats, exit codes, config handling."""
 
+import argparse
 import dataclasses
 import io
 import json
@@ -675,6 +676,10 @@ PARSER_CORPUS = [
     ["--", "verify", "all"], ["ver"], ["compare", "verify", "table"],
     ["table", "nosuch"], ["verify", "nosuch"], ["metrics", "nosuch"], ["sim", "nosuch"],
     ["compare", "q2b", "mod4-add"], ["minimize", "-"],
+    # the top-level parser reports after the reached subparser has returned,
+    # so its usage lists every name
+    ["verify", "q2b", "extra"], ["table", "q2b", "--bogus"], ["-h", "table"],
+    ["compare", "q2b", "q2b", "q2b"], ["verify", "q2b", "--config=x.cfg"],
     *([name] for name in NAMES),
     *([name, flag] for name in NAMES for flag in ("-h", "--help")),
 ]
@@ -694,6 +699,22 @@ def _parse(capsys, parser, argv):
 def test_parser_for_a_call_parses_as_the_full_parser(capsys, argv):
     full = _parse(capsys, mvq.cli.build_parser(NAMES), argv)
     assert _parse(capsys, mvq.cli.build_parser(argv), argv) == full
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["verify", "q2b"], 2), (["frobnicate"], 1), (["compare", "verify", "table"], 4),
+], ids=["verify q2b", "frobnicate", "compare verify table"])
+def test_a_call_builds_a_parser_only_for_the_subcommands_it_names(monkeypatch, argv, built):
+    init = argparse.ArgumentParser.__init__
+    parsers = []
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    mvq.cli.build_parser(argv)
+    assert len(parsers) == built
 
 
 @pytest.mark.parametrize("argv", [["verify", "q2b"], ["--help"], ["sim", "--help"]])
