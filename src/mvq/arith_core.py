@@ -138,6 +138,15 @@ def decode_b2q(p: BitPair | tuple[int, int]) -> int:
     return 2 * _check_bit(x1, "x1") + _check_bit(x2, "x2")
 
 
+_BINARY_OPS = {
+    OpKind.MOD4_ADD: mod4_add,
+    OpKind.MOD4_SUB: mod4_sub,
+    OpKind.MOD4_MUL: mod4_mul,
+    OpKind.GF4_ADD: gf4_add,
+    OpKind.GF4_MUL: gf4_mul,
+}
+
+
 def apply_op(kind: OpKind, a: int, b: int | None = None) -> int:
     """Table-oracle dispatch; b is ignored for unary kinds."""
     if kind is OpKind.MOD4_NEG:
@@ -146,12 +155,5 @@ def apply_op(kind: OpKind, a: int, b: int | None = None) -> int:
         return mod4_double(a)
     if b is None:
         raise ValueError(f"{kind.value} needs a second operand")
-    fn = {
-        OpKind.MOD4_ADD: mod4_add,
-        OpKind.MOD4_SUB: mod4_sub,
-        OpKind.MOD4_MUL: mod4_mul,
-        OpKind.GF4_ADD: gf4_add,
-        OpKind.GF4_MUL: gf4_mul,
-    }[kind]
-    return fn(a, b)
+    return _BINARY_OPS[kind](a, b)
 

@@ -6,7 +6,7 @@ holds its gates as parallel columns (kinds, input-net tuples, output nets,
 levels) and builds `Gate` values only when `gates` or `topo_gates()` is read.
 
 Gates go in a batch at a time, all or none: `add_gates`, `from_json` (which
-reads a document's gates a column at a time) and `add_gate` (one gate on a
+reads a document gate by gate, `_read_gates`) and `add_gate` (one gate on a
 fresh net). Every batch of `add_gates` and `add_gate` goes through `_scan`,
 which checks gate by gate in batch order; it is the one source of every
 install error's type, text and precedence. Only `from_json`'s columns are
@@ -20,13 +20,16 @@ needs no ordering. A batch whose gates read only nets numbered below their
 own (as `to_json`'s documents do) is sorted by output net; any other takes
 Kahn's algorithm, about four times the sort's cost (4.8 against 1.1 ms for
 the gates of one nine-job `sweep` cycle, best of 25; 2-vCPU VM, CPython
-3.11), so both stay. `validate` checks the outputs are driven and no gate lies on a
-cycle, then compiles the output cone ("cone of influence", Clarke, Grumberg &
-Peled, Model Checking, 1999): the gates that some output reads, directly or
-through other gates, in dependency order. Evaluation walks only that cone,
-kept until the next construction call, which is single-context only; every
-gate is still checked, counted by `metrics` and written by `to_json`. The
-kernel keeps its last result on that cone the same way (`_eval_columns`).
+3.11), so both stay. A gate on a cycle, or reading one in its own batch, is
+left out of the order: `add_gate`'s self-loop, and Kahn's leftovers. So
+`validate` checks that the outputs are driven and that every gate is in the
+order (else `_net_on_cycle` names a net on a cycle), then compiles the output
+cone ("cone of influence", Clarke, Grumberg & Peled, Model Checking, 1999):
+the gates that some output reads, directly or through other gates, in
+dependency order. Evaluation walks only that cone, kept until the next
+construction call, which is single-context only; every gate is still
+checked, counted by `metrics` and written by `to_json`. The kernel keeps its
+last result on that cone the same way (`_eval_columns`).
 
 A level is an exact `int` (no `bool` or other subclass) in 0..levels-1 of
 its signal type; `_level_column` checks that rule wherever levels come in
@@ -295,9 +298,10 @@ def _dependency_order(ins: list[tuple[int, ...]], outs: list[int]) -> list[int]:
 
 
 def _net_on_cycle(ins: list[tuple[int, ...]], outs: list[int], order: list[int]) -> int:
-    """A net on a cycle of the batch gates missing from order: from the first
-    of them, follow the first input that one of them drives until a net
-    repeats."""
+    """A net on a cycle of the gates missing from order: from the first of
+    them, follow the first input that one of them drives until a net
+    repeats. No gate reads a net installed after it, so the walk stays in
+    the first batch that left gates out."""
     placed = set(order)
     stuck = {out: nets for k, (nets, out) in enumerate(zip(ins, outs)) if k not in placed}
     net = next(iter(stuck))
@@ -337,9 +341,10 @@ class Netlist:
         self._ins: list[tuple[int, ...]] = []
         self._outs: list[int] = []
         self._levels: list[int | None] = []
-        self._order: list[int] = []  # the gate indices in dependency order
+        # the gate indices in dependency order, less those on a cycle or
+        # reading one in their own batch
+        self._order: list[int] = []
         self._gates: tuple[Gate, ...] | None = None  # built when read
-        self._cycle: int | None = None  # a net on the first cycle installed
         self._out_net: dict[str, int] = {}
         # (its kind's plane function, input nets, output net, level) per gate
         # that reaches an output, in dependency order; validate() compiles it
@@ -386,9 +391,20 @@ class Netlist:
         inputs: Iterable[int] = (),
         level: int | None = None,
     ) -> int:
-        """Install one gate on the next fresh net and return that net."""
+        """Install one gate on the next fresh net and return that net. The
+        gate needs no ordering, as it reads only earlier gates' nets or, on
+        a self-loop left out of the order, its own."""
         out = self._next_net
-        self._add_one(kind, tuple(inputs), out, level)
+        nets = tuple(inputs)
+        self._net_type.update(self._scan((kind,), (nets,), (out,), (level,)))
+        self._kinds.append(kind)
+        self._ins.append(nets)
+        self._outs.append(out)
+        self._levels.append(level)
+        if out not in nets:
+            self._order.append(len(self._outs) - 1)
+        self._next_net = out + 1
+        self._gates = self._cone = None
         return out
 
     def add_gates(self, gates: Iterable[Gate]) -> None:
@@ -399,27 +415,10 @@ class Netlist:
         reads its nets. Cycles are left to validate()."""
         batch = list(gates)
         if batch:
-            columns = list(map(list, zip(*batch)))
-            self._scan(*columns)
-            self._add_columns(*columns)
-
-    def _add_one(self, kind: GateKind, nets: Sequence[int], out: int, level: int | None) -> None:
-        """add_gate's install of one gate, which is checked faster gate by
-        gate and needs no ordering: it reads only earlier gates' nets, or its
-        own."""
-        new_type = self._scan((kind,), (nets,), (out,), (level,))
-        self._kinds.append(kind)
-        self._ins.append(nets)
-        self._outs.append(out)
-        self._levels.append(level)
-        if out not in nets:
-            self._order.append(len(self._outs) - 1)
-        elif self._cycle is None:
-            self._cycle = out
-        self._net_type.update(new_type)
-        if out >= self._next_net:
-            self._next_net = out + 1
-        self._gates = self._cone = None
+            kinds, ins, outs, levels = map(list, zip(*batch))
+            self._scan(kinds, ins, outs, levels)
+            # copies, once the scan has named any error: the caller keeps its lists
+            self._add_columns(kinds, list(map(tuple, ins)), outs, levels)
 
     def _add_columns(
         self,
@@ -446,10 +445,7 @@ class Netlist:
         if by_net:
             self._order += sorted(range(base, len(self._outs)), key=self._outs.__getitem__)
         else:
-            order = _dependency_order(ins, outs)
-            if len(order) < len(outs) and self._cycle is None:
-                self._cycle = _net_on_cycle(ins, outs, order)
-            self._order += [base + k for k in order]
+            self._order += [base + k for k in _dependency_order(ins, outs)]
         self._net_type.update(new_type)
         self._next_net = max(self._next_net - 1, *outs) + 1
         self._gates = self._cone = None
@@ -558,8 +554,9 @@ class Netlist:
         for name, _ in self._outputs:
             if name not in self._out_net:
                 raise UndrivenOutput(name)
-        if self._cycle is not None:
-            raise CombinationalCycle(f"net {self._cycle} lies on a cycle")
+        if len(self._order) < len(self._outs):
+            net = _net_on_cycle(self._ins, self._outs, self._order)
+            raise CombinationalCycle(f"net {net} lies on a cycle")
         # cone of influence: walk back from the outputs, keeping the gates
         # whose net some kept gate or output reads
         kinds, ins, outs, levels = self._kinds, self._ins, self._outs, self._levels
@@ -711,50 +708,36 @@ def _json_id(value: object) -> int:
 _KINDS = {kind.value: kind for kind in GateKind}
 
 
-def _json_kind(value: object) -> GateKind:
-    try:
-        return _KINDS[value]
-    except (KeyError, TypeError):  # not a kind, or unhashable: GateKind says so
-        return GateKind(value)
-
-
 def _json_name(value: object) -> str:
     if type(value) is not str:
         raise TypeError(f"port name {value!r} is not a string")
     return value
 
 
-_GATE_FIELDS = operator.itemgetter("id", "kind", "inputs", "output")
-
 # a document's gates as columns: ids, kinds, input nets, output nets, levels
-_GateColumns = tuple[tuple, list[GateKind], list[tuple[int, ...]], list[int], list]
-
-
-def _gate_columns(gates: list) -> _GateColumns | None:
-    """The gates' columns, read a column at a time; None when a field is
-    missing or an id, net or kind is not one, which _read_gates then names."""
-    try:
-        ids, names, ins, outs = zip(*map(_GATE_FIELDS, gates))
-        levels = list(map(dict.get, gates, repeat("level")))
-        kinds = list(map(_KINDS.get, names))
-        ins = list(map(tuple, ins))
-    except (KeyError, TypeError, ValueError):
-        return None
-    if None in kinds or not set(map(type, chain(ids, outs, chain.from_iterable(ins)))) <= {int}:
-        return None
-    return ids, kinds, ins, list(outs), levels
+_GateColumns = tuple[list[int], list[GateKind], list[tuple[int, ...]], list[int], list]
 
 
 def _read_gates(gates: list) -> _GateColumns:
     """The gates' columns, read gate by gate: every id first, then each
     gate's kind, inputs, output and level. Raises KeyError, TypeError or
-    ValueError at the first field that is missing or of the wrong type."""
-    ids = tuple(_json_id(g["id"]) for g in gates)
+    ValueError at the first field that is missing or of the wrong type: a
+    field goes to _json_id, or GateKind, only for its error."""
+    ids = []
+    for g in gates:
+        gid = g["id"]
+        ids.append(gid if type(gid) is int else _json_id(gid))
     kinds, ins, outs, levels = [], [], [], []
     for g in gates:
-        kinds.append(_json_kind(g["kind"]))
-        ins.append(tuple(map(_json_id, g["inputs"])))
-        outs.append(_json_id(g["output"]))
+        kind = g["kind"]
+        kinds.append(_KINDS[kind] if type(kind) is str and kind in _KINDS else GateKind(kind))
+        nets = tuple(g["inputs"])
+        for net in nets:
+            if type(net) is not int:
+                _json_id(net)
+        ins.append(nets)
+        out = g["output"]
+        outs.append(out if type(out) is int else _json_id(out))
         levels.append(g.get("level"))
     return ids, kinds, ins, outs, levels
 
@@ -775,7 +758,7 @@ def from_json(text: str) -> Netlist:
         outputs = [
             (_json_name(p["name"]), SignalType(p["type"])) for p in doc["outputs"]
         ]
-        columns = _gate_columns(doc["gates"]) or _read_gates(doc["gates"])
+        columns = _read_gates(doc["gates"])
         out_nets = {
             p["name"]: None if p["net"] is None else _json_id(p["net"])
             for p in doc["outputs"]

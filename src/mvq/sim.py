@@ -42,21 +42,29 @@ class PortMismatch(NetlistError):
 class Stimulus:
     """Ordered input assignments; each step must assign every input port.
     Held as `columns`, one level column per assigned port keyed by its name,
-    over `n_steps` steps; `steps` reads them back one mapping per step."""
+    over `n_steps` steps; `steps` reads them back one mapping per step. It
+    keeps no mapping the caller passed, so a later edit of one changes
+    nothing."""
 
     def __init__(self, steps: Iterable[Mapping[str, int]]) -> None:
         steps = tuple(steps)
         ports = steps[0].keys() if steps else set()
-        stray = next((s.keys() for s in steps if s.keys() != ports), None)
-        # the port sets run() checks, in step order: the first step's, then
-        # that of the first step assigning other ports, if any; with such a
-        # step the stimulus runs on no netlist, so it gets no columns
-        self._assigned = () if not steps else (ports,) if stray is None else (ports, stray)
-        self.columns: Mapping[str, Sequence[int]] = (
-            {n: tuple(s[n] for s in steps) for n in ports} if stray is None else {}
-        )
+        stray = next((k for k, s in enumerate(steps) if s.keys() != ports), None)
         self.n_steps = len(steps)
-        self._steps: tuple[Mapping[str, int], ...] | None = steps
+        # the port sets run() checks, in step order: the first step's, then
+        # that of the first step assigning other ports, if any. With such a
+        # step the stimulus runs on no netlist, so it gets no columns and
+        # keeps copies of its steps; else `steps` is read from the columns.
+        if stray is None:
+            self.columns: Mapping[str, Sequence[int]] = {
+                n: tuple(s[n] for s in steps) for n in ports
+            }
+            self._assigned = (self.columns.keys(),) if steps else ()
+            self._steps: tuple[Mapping[str, int], ...] | None = None
+        else:
+            self.columns = {}
+            self._steps = tuple(map(dict, steps))
+            self._assigned = (self._steps[0].keys(), self._steps[stray].keys())
 
     @classmethod
     def _of_columns(cls, columns: Mapping[str, bytes], n_steps: int) -> Stimulus:

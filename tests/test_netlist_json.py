@@ -146,10 +146,11 @@ def test_add_gates_installs_nothing_on_error(gates, error):
 
 # --- the column checks against the gate-by-gate scan
 #
-# `from_json` reads a document's gates a column at a time and checks each
-# column in one pass (`_gate_columns`, `Netlist._fits`); only a batch they
-# refuse goes through the ordered scan (`_read_gates`, `Netlist._scan`),
-# which names the error. The two must refuse exactly the same documents.
+# `from_json` reads a document's gates gate by gate (`_read_gates`) and
+# checks the batch one rule at a time over whole columns (`Netlist._fits`);
+# only a batch those checks refuse goes through the ordered scan
+# (`Netlist._scan`), which names the error. The two must refuse exactly the
+# same documents.
 
 KINDS = list(GateKind)
 
@@ -348,16 +349,16 @@ def _ports(doc, side):
 def column_verdict(doc):
     """What the column checks make of the document's gates: the batch's net
     types, or None."""
-    columns = nl._gate_columns(doc["gates"])
-    if columns is None:
+    try:
+        _, kinds, ins, outs, levels = nl._read_gates(doc["gates"])
+    except (KeyError, TypeError, ValueError):
         return None
-    _, kinds, ins, outs, levels = columns
     checked = Netlist(_ports(doc, "inputs"), _ports(doc, "outputs"))._fits(kinds, ins, outs, levels)
     return checked and checked[0]
 
 
 def scan_verdict(doc):
-    """column_verdict by the gate-by-gate reading and scan."""
+    """column_verdict by the gate-by-gate scan."""
     try:
         _, kinds, ins, outs, levels = nl._read_gates(doc["gates"])
         n = Netlist(_ports(doc, "inputs"), _ports(doc, "outputs"))
@@ -376,10 +377,8 @@ def import_outcome(text):
 
 def scanned_outcome(text, monkeypatch):
     """import_outcome with the column checks refusing every batch, so every
-    gate goes through the ordered scan and every batch through Kahn's
-    algorithm."""
+    batch goes through the ordered scan and Kahn's algorithm."""
     with monkeypatch.context() as m:
-        m.setattr(nl, "_gate_columns", lambda gates: None)
         m.setattr(Netlist, "_fits", lambda self, *columns: None)
         return import_outcome(text)
 
@@ -406,16 +405,24 @@ def _apply_gate_fault(rng, doc, name, lo):
     return k
 
 
-@pytest.mark.parametrize("name", sorted(GATE_FAULTS) + sorted(PORT_FAULTS))
-def test_column_checks_refuse_exactly_what_the_scan_refuses(name, monkeypatch):
+def _faults(name):
+    """faulty_documents' first fault: the named class, at or past gate lo."""
     def faults(rng, doc, lo):
         if name in PORT_FAULTS:
             PORT_FAULTS[name](rng, doc)
             return 0
         return _apply_gate_fault(rng, doc, name, lo)
 
+    return faults
+
+
+FAULT_CLASSES = sorted(GATE_FAULTS) + sorted(PORT_FAULTS)
+
+
+@pytest.mark.parametrize("name", FAULT_CLASSES)
+def test_column_checks_refuse_exactly_what_the_scan_refuses(name, monkeypatch):
     for seed in range(12):
-        for doc in faulty_documents(seed, faults):
+        for doc in faulty_documents(seed, _faults(name)):
             assert column_verdict(doc) == scan_verdict(doc)
             text = json.dumps(doc)
             assert import_outcome(text) == scanned_outcome(text, monkeypatch)
@@ -424,7 +431,7 @@ def test_column_checks_refuse_exactly_what_the_scan_refuses(name, monkeypatch):
 @pytest.mark.parametrize("permute", [False, True], ids=["sorted-nets", "permuted-nets"])
 def test_valid_documents_never_reach_the_scan(permute, monkeypatch):
     # a later edit that made a column check refuse valid batches would send
-    # every import down the gate-by-gate path, correct but slow
+    # every import through the gate-by-gate scan, correct but slow
     rng = random.Random(17)
     docs = [random_document(rng, rng.randint(2, 300), permute) for _ in range(20)]
     expected = [scanned_outcome(json.dumps(doc), monkeypatch) for doc in docs]
@@ -432,10 +439,63 @@ def test_valid_documents_never_reach_the_scan(permute, monkeypatch):
     def refuse(*args):
         raise AssertionError("the ordered scan ran on a valid document")
 
-    monkeypatch.setattr(nl, "_read_gates", refuse)
     monkeypatch.setattr(Netlist, "_scan", refuse)
     for doc, want in zip(docs, expected):
         assert import_outcome(json.dumps(doc)) == want
+
+
+# --- the gate reader against a reference that makes a call per field
+
+
+def reference_id(value):
+    if type(value) is not int:
+        raise TypeError(f"id {value!r} is not an integer")
+    return value
+
+
+def reference_read_gates(gates):
+    """The gates' columns, read gate by gate with a call per field: every id
+    first, then each gate's kind, inputs, output and level."""
+    ids = tuple(reference_id(g["id"]) for g in gates)
+    kinds, ins, outs, levels = [], [], [], []
+    for g in gates:
+        kinds.append(GateKind(g["kind"]))
+        ins.append(tuple(map(reference_id, g["inputs"])))
+        outs.append(reference_id(g["output"]))
+        levels.append(g.get("level"))
+    return ids, kinds, ins, outs, levels
+
+
+def read_outcome(read, gates):
+    """The columns read (ids as a tuple), or the error's type and text."""
+    try:
+        ids, *columns = read(gates)
+    except (KeyError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (tuple(ids), *columns)
+
+
+@pytest.mark.parametrize("name", FAULT_CLASSES)
+def test_gate_reader_matches_the_reference_on_the_fault_corpus(name):
+    for seed in range(40):
+        for doc in faulty_documents(seed, _faults(name)):
+            want = read_outcome(reference_read_gates, doc["gates"])
+            assert read_outcome(nl._read_gates, doc["gates"]) == want
+
+
+@pytest.mark.parametrize(
+    "gates",
+    [7, None, "ab", {"id": 0}, [[0]], ["g"], [None], [7], [{"id": 0}],
+     [{"id": 0, "kind": "not", "inputs": [0], "output": 2}, 5],
+     [{"id": 0, "kind": "not", "inputs": [0], "output": 2}, {"kind": "not"}],
+     [{"id": 0, "kind": {}, "inputs": [0], "output": 2}],
+     [{"id": 0, "kind": "not", "inputs": [[0]], "output": 2}],
+     [{"id": 0, "kind": "not", "inputs": [0], "output": [2]}],
+     [{"id": 0, "kind": "qconst", "inputs": [], "output": 2, "level": [1]}]],
+)
+def test_gate_reader_matches_the_reference_on_malformed_gates(gates):
+    assert read_outcome(nl._read_gates, gates) == read_outcome(reference_read_gates, gates)
+
 
 
 @pytest.mark.parametrize(
@@ -460,12 +520,19 @@ def test_nets_are_exact_ints(bad):
 
 
 def test_add_gates_takes_input_lists():
-    # input nets may come as lists, and a gate before the one driving its input
+    # input nets may come as lists, and a gate before the one driving its
+    # input; the netlist keeps tuples of its own, so a later edit of the
+    # caller's list changes nothing
     n = Netlist([("a", B)], [("y", B)])
-    n.add_gates([Gate(GateKind.NOT, [2], 3), Gate(GateKind.NOT, [0], 2)])
+    nets = [2]
+    n.add_gates([Gate(GateKind.NOT, nets, 3), Gate(GateKind.NOT, [0], 2)])
+    nets[0] = 7
     n.connect_output("y", 3)
+    assert n.gates == (Gate(GateKind.NOT, (2,), 3), Gate(GateKind.NOT, (0,), 2))
+    assert len(set(n.gates)) == 2
     assert [out for _, out in n.truth_table().rows] == [(0,), (1,)]
     assert [g.output for g in n.topo_gates()] == [2, 3]
+    assert json.loads(n.to_json())["gates"][0]["inputs"] == [2]
 
 
 def test_add_gates_puts_each_batch_in_dependency_order():
@@ -500,6 +567,70 @@ def test_self_loop_in_a_batch_numbered_in_order_is_a_cycle():
     }
     with pytest.raises(nl.CombinationalCycle, match="^net 2 lies on a cycle$"):
         from_json(json.dumps(doc))
+
+
+def reference_cycle_net(n):
+    """The net validate names, from the gates alone: from the first gate in
+    install order that no chain of gates from the ports reaches, follow the
+    first input that such a gate drives until a net repeats; None when the
+    ports reach every gate."""
+    reached = {n.input_net(name) for name, _ in n.input_ports}
+    grew = True
+    while grew:
+        grew = False
+        for g in n.gates:
+            if g.output not in reached and reached.issuperset(g.inputs):
+                reached.add(g.output)
+                grew = True
+    stuck = {g.output: g.inputs for g in n.gates if g.output not in reached}
+    net, seen = next(iter(stuck), None), set()
+    while net is not None and net not in seen:
+        seen.add(net)
+        net = next(i for i in stuck[net] if i in stuck)
+    return net
+
+
+def random_build(rng):
+    """A netlist built by a mix of add_gate (sometimes reading its own net)
+    and add_gates batches (nets numbered in any order, sometimes closing a
+    cycle or reading one)."""
+    n = Netlist([("a", B), ("b", B)], [("y", B)])
+    n.connect_output("y", 0)
+    nets = [0, 1]
+    for _ in range(rng.randint(1, 6)):
+        kinds = [rng.choice((GateKind.NOT, GateKind.AND2)) for _ in range(rng.randint(1, 5))]
+        fresh = max(nets) + 1
+        if len(kinds) == 1 and rng.random() < 0.5:
+            reads = nets + [fresh] * (rng.random() < 0.2)
+            n.add_gate(kinds[0], [rng.choice(reads) for _ in kinds[0].inputs])
+            nets.append(fresh)
+            continue
+        outs = rng.sample(range(fresh, fresh + 2 * len(kinds)), len(kinds))
+        reads = nets + outs if rng.random() < 0.5 else nets
+        n.add_gates([Gate(kind, tuple(rng.choice(reads) for _ in kind.inputs), out)
+                     for kind, out in zip(kinds, outs)])
+        nets += outs
+    return n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_cycle_is_named_from_the_gates_the_order_leaves_out(seed):
+    rng = random.Random(seed)
+    cycles = 0
+    for _ in range(250):
+        n = random_build(rng)
+        want = reference_cycle_net(n)
+        if want is None:
+            placed = {0, 1}
+            for g in n.topo_gates():
+                assert placed.issuperset(g.inputs)
+                placed.add(g.output)
+            assert len(placed) == len(n.gates) + 2
+        else:
+            cycles += 1
+            with pytest.raises(nl.CombinationalCycle, match=f"^net {want} lies on a cycle$"):
+                n.validate()
+    assert 50 < cycles < 200
 
 
 @pytest.mark.parametrize("source", [*CIRCUIT_IDS, "random-2000"])

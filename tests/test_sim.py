@@ -98,6 +98,27 @@ def test_run_port_mismatch_names_the_first_stray_step():
         run(nl, Stimulus(steps))
 
 
+def test_stimulus_keeps_no_link_to_the_caller_s_steps():
+    nl = REGISTRY["mod4-neg"].build()
+    steps = [{"x1": 0, "x2": 1}, {"x1": 1, "x2": 1}]
+    stim = Stimulus(steps)
+    steps[1]["x2"] = 0
+    steps[0]["zz"] = 1
+    assert stim.steps == ({"x1": 0, "x2": 1}, {"x1": 1, "x2": 1})
+    assert stim == Stimulus([{"x1": 0, "x2": 1}, {"x1": 1, "x2": 1}])
+    assert stim != Stimulus([{"x1": 0, "x2": 1}, {"x1": 1, "x2": 0}])
+    assert [row[:2] for row in run(nl, stim).rows] == [(0, 1), (1, 1)]
+    # a stimulus whose steps assign different ports keeps copies of them
+    steps = [{"x1": 0}, {"x2": 0}]
+    stim = Stimulus(steps)
+    steps[0]["x2"] = 1
+    steps[1]["x1"] = 1
+    assert stim.steps == ({"x1": 0}, {"x2": 0})
+    assert stim == Stimulus([{"x1": 0}, {"x2": 0}])
+    with pytest.raises(PortMismatch, match=r"^step assigns \['x1'\], ports"):
+        run(nl, stim)
+
+
 def test_run_equals_truth_table_for_every_circuit():
     for cid in CIRCUIT_IDS:
         nl = REGISTRY[cid].build()
