@@ -19,6 +19,14 @@ set when the cube (d, v) lies inside on | dc. Widening d by variable bit b
 keeps the v whose cube and its neighbour across b both lie inside, and a cube
 is prime when no widening by a free bit covers it (cf. Coudert, Two-level
 logic minimization: an overview, 1994).
+
+Each layer hands the next the masks it already holds. `parse_pla` builds the
+on and don't-care row masks line by line and makes its TruthTableSpec from
+them, deriving `outputs` in one pass; `_primes` yields each prime's dashes,
+value and on-set rows; `minimize_exact` hands the chosen primes' (dashes,
+value) pairs to its SopExpr as `masks`; and `recognize_xor` and `check_equiv`
+read a SopExpr's rows and cube pairs from `masks`. Only the public
+TruthTableSpec and SopExpr constructors read outputs or cube strings.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .arith_core import OpKind, apply_op, encode_q2b
 DC = "-"
 
 _RANK = {"1": 0, "0": 1, "-": 2}
+_OUTPUT_OF_DIGIT = {"0": 0, "1": 1, "2": DC}
 
 
 def _cube_key(cube: str) -> tuple[int, ...]:
@@ -58,9 +67,9 @@ class UnsupportedFeature(Exception):
 @dataclass(frozen=True)
 class TruthTableSpec:
     """Single-output table over named variables; row index treats variable 0
-    as the most significant bit. Outputs are 0, 1, or '-' (don't care).
-    `on` and `dc` are the rows whose output is 1 and '-', bit i for row i;
-    they are derived from `outputs`, so equality and repr ignore them."""
+    as the most significant bit. Outputs are the ints 0 and 1, or '-' (don't
+    care). `on` and `dc` are the rows whose output is 1 and '-', bit i for row
+    i; they are derived from `outputs`, so equality and repr ignore them."""
 
     names: tuple[str, ...]
     outputs: tuple[int | str, ...]
@@ -79,14 +88,27 @@ class TruthTableSpec:
             )
         on = dc = 0
         for i, v in enumerate(self.outputs):
-            if v == 1:
-                on |= 1 << i
-            elif v == DC:
+            # exact types: True == 1 and 0.0 == 0, but neither is a level
+            if type(v) is int and (v == 0 or v == 1):
+                on |= v << i
+            elif type(v) is str and v == DC:
                 dc |= 1 << i
-            elif v != 0:
+            else:
                 raise ValueError(f"bad output value {v!r}")
         object.__setattr__(self, "on", on)
         object.__setattr__(self, "dc", dc)
+
+    @classmethod
+    def _of_masks(cls, names: tuple[str, ...], on: int, dc: int) -> TruthTableSpec:
+        """The spec of checked names and of disjoint on and dc masks over
+        2 ** len(names) rows. Written in binary and read as decimal numbers,
+        the masks add without a carry: digit i from the right is 1 for an
+        on-set row i, 2 for a don't care and 0 otherwise."""
+        digits = int(format(on, "b")) + 2 * int(format(dc, "b"))
+        outputs = map(_OUTPUT_OF_DIGIT.__getitem__, reversed(f"{digits:0{2 ** len(names)}d}"))
+        spec = cls.__new__(cls)
+        spec.__dict__.update(names=names, outputs=tuple(outputs), on=on, dc=dc)
+        return spec
 
     @property
     def n_vars(self) -> int:
@@ -126,10 +148,10 @@ def _cube_rows(dashes: int, value: int) -> int:
     return _spread(dashes) << value
 
 
-def _sop_rows(cubes: tuple[str, ...]) -> int:
+def _sop_rows(masks: tuple[tuple[int, int], ...]) -> int:
     rows = 0
-    for cube in cubes:
-        rows |= _cube_rows(*_cube_mask(cube))
+    for dashes, value in masks:
+        rows |= _spread(dashes) << value
     return rows
 
 
@@ -144,15 +166,25 @@ def _low_rows(n: int) -> tuple[int, ...]:
     )
 
 
+@functools.cache
+def _widenings(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # entry d: for each variable bit b outside the dash set d, the dash set
+    # d | bit b and the row distance 2**b between neighbours across bit b
+    return tuple(
+        tuple((d | 1 << b, 1 << b) for b in range(n) if not d >> b & 1)
+        for d in range(1 << n)
+    )
+
+
 # entry i: i's bit b moved to bit 3b, so a sum of entries written in octal has
 # one digit per variable (n <= 8)
 _OCTAL = tuple(int(f"{i:b}", 8) for i in range(256))
 _KEY_DIGITS = str.maketrans("012", "10-")
 
 
-def _primes(spec: TruthTableSpec) -> list[tuple[int, int, int]]:
-    """(key, dashes, on-set rows) of every prime implicant of on | dc that
-    covers an on-set row, sorted by key. The key written in octal is the
+def _primes(spec: TruthTableSpec) -> list[tuple[int, int, int, int]]:
+    """(key, dashes, value, on-set rows) of every prime implicant of on | dc
+    that covers an on-set row, sorted by key. The key written in octal is the
     cube's rank, one digit per variable: 0 for '1', 1 for '0', 2 for '-'."""
     n = spec.n_vars
     full = (1 << n) - 1
@@ -165,16 +197,18 @@ def _primes(spec: TruthTableSpec) -> list[tuple[int, int, int]]:
         m = implicants[d ^ (1 << b)]
         implicants[d] = m & (m >> (1 << b)) & low[b]
     found = []
-    for d, m in enumerate(implicants):
+    on = spec.on
+    for d, (m, widenings) in enumerate(zip(implicants, _widenings(n))):
         if not m:
             continue
-        for b in _set_bits(full ^ d):  # drop the cubes a wider one covers
-            wider = implicants[d | (1 << b)]
-            m &= ~(wider | (wider << (1 << b)))
+        for wider_dashes, step in widenings:  # drop the cubes a wider one covers
+            wider = implicants[wider_dashes]
+            m &= ~(wider | (wider << step))
+        spread = _spread(d)
         for v in _set_bits(m):
-            rows = _cube_rows(d, v) & spec.on
+            rows = spread << v & on
             if rows:
-                found.append((_OCTAL[full ^ v] + _OCTAL[d], d, rows))
+                found.append((_OCTAL[full ^ v] + _OCTAL[d], d, v, rows))
     found.sort()
     return found
 
@@ -183,16 +217,23 @@ def _key_cube(key: int, n: int) -> str:
     return format(key, f"0{n}o").translate(_KEY_DIGITS)
 
 
+def _mask_cube(dashes: int, value: int, n: int) -> str:
+    return _key_cube(_OCTAL[((1 << n) - 1) ^ value] + _OCTAL[dashes], n)
+
+
 def cube_literal_count(cube: str) -> int:
     return len(cube) - cube.count(DC)
 
 
 @dataclass(frozen=True)
 class SopExpr:
-    """Sum of products; cubes are irredundant with respect to containment."""
+    """Sum of products; cubes are irredundant with respect to containment.
+    `masks` holds each cube's (dashes, value); it is derived from `cubes`, so
+    equality and repr ignore it."""
 
     n_vars: int
     cubes: tuple[str, ...]
+    masks: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen = set()
@@ -202,11 +243,23 @@ class SopExpr:
             if c in seen:
                 raise ValueError(f"duplicate cube {c!r}")
             seen.add(c)
+        masks = tuple(map(_cube_mask, self.cubes))
         # a covers b when b's dashes are a's, and b has a's values elsewhere
-        pairs = itertools.permutations(zip(self.cubes, map(_cube_mask, self.cubes)), 2)
+        pairs = itertools.permutations(zip(self.cubes, masks), 2)
         for (a, (a_dashes, a_value)), (b, (b_dashes, b_value)) in pairs:
             if b_dashes & ~a_dashes == 0 and b_value & ~a_dashes == a_value:
                 raise ValueError(f"cube {a!r} already covers {b!r}")
+        object.__setattr__(self, "masks", masks)
+
+    @classmethod
+    def _of_primes(
+        cls, n_vars: int, cubes: tuple[str, ...], masks: tuple[tuple[int, int], ...]
+    ) -> SopExpr:
+        """The sum of distinct prime implicants, given with their masks: no
+        prime contains another, so the checks have nothing to find."""
+        e = cls.__new__(cls)
+        e.__dict__.update(n_vars=n_vars, cubes=cubes, masks=masks)
+        return e
 
     @property
     def term_count(self) -> int:
@@ -225,7 +278,7 @@ class SopExpr:
 
 def prime_implicants(spec: TruthTableSpec) -> tuple[str, ...]:
     """All prime implicants of on ∪ dc that cover at least one on-set row."""
-    return tuple(_key_cube(key, spec.n_vars) for key, _, _ in _primes(spec))
+    return tuple(_key_cube(key, spec.n_vars) for key, *_ in _primes(spec))
 
 
 def minimize_exact(spec: TruthTableSpec) -> SopExpr:
@@ -235,11 +288,11 @@ def minimize_exact(spec: TruthTableSpec) -> SopExpr:
     primes = _primes(spec)
     on = spec.on
     if not on:
-        return SopExpr(n, ())
+        return SopExpr._of_primes(n, (), ())
     # primes come sorted by rank, so a cover is an int with bit k for primes[k]
     # and the rank tie-break compares sorted prime indices
-    prime_rows = [rows for _, _, rows in primes]
-    lits = [n - dashes.bit_count() for _, dashes, _ in primes]
+    prime_rows = [rows for *_, rows in primes]
+    lits = [n - dashes.bit_count() for _, dashes, _, _ in primes]
     covers = dict.fromkeys(_set_bits(on), 0)  # row -> primes covering it
     for k, rows in enumerate(prime_rows):
         for m in _set_bits(rows):
@@ -276,15 +329,20 @@ def minimize_exact(spec: TruthTableSpec) -> SopExpr:
         return (len(picked), sum(lits[k] for k in picked), picked)
 
     fewest = min(map(int.bit_count, solutions))
-    best = min(cost(s) for s in solutions if s.bit_count() == fewest)[2]
-    return SopExpr(n, tuple(_key_cube(primes[k][0], n) for k in best))
+    picked = min(cost(s) for s in solutions if s.bit_count() == fewest)[2]
+    best = [primes[k] for k in picked]
+    return SopExpr._of_primes(
+        n,
+        tuple(_key_cube(key, n) for key, *_ in best),
+        tuple((dashes, value) for _, dashes, value, _ in best),
+    )
 
 
 def check_equiv(e: SopExpr, spec: TruthTableSpec) -> bool:
     """Whether e has the table's arity and, on every row that is not a don't
     care, the table's output: the rows e covers, outside spec.dc, are exactly
     spec.on."""
-    return e.n_vars == spec.n_vars and _sop_rows(e.cubes) & ~spec.dc == spec.on
+    return e.n_vars == spec.n_vars and _sop_rows(e.masks) & ~spec.dc == spec.on
 
 
 def render_cube(cube: str, names: tuple[str, ...]) -> str:
@@ -297,9 +355,16 @@ def render_cube(cube: str, names: tuple[str, ...]) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def render_sop(e: SopExpr, names: tuple[str, ...] | None = None) -> str:
+def _names_for(e: SopExpr, names: tuple[str, ...] | None) -> tuple[str, ...]:
     if names is None:
-        names = default_names(e.n_vars)
+        return default_names(e.n_vars)
+    if len(names) != e.n_vars:
+        raise ValueError(f"{len(names)} names for {e.n_vars} variables")
+    return names
+
+
+def render_sop(e: SopExpr, names: tuple[str, ...] | None = None) -> str:
+    names = _names_for(e, names)
     if not e.cubes:
         return "0"
     return " + ".join(render_cube(c, names) for c in e.cubes)
@@ -329,7 +394,7 @@ def _cubes_by_rows(n: int) -> dict[int, str]:
 
 def _xor_pair_search(e: SopExpr) -> tuple[str, str] | None:
     """Find cubes P, Q with P xor Q equivalent to e, minimizing literals."""
-    target = _sop_rows(e.cubes)
+    target = _sop_rows(e.masks)
     # P's rows fix Q's
     by_rows = _cubes_by_rows(e.n_vars)
     best: tuple[tuple, str, str] | None = None
@@ -350,26 +415,23 @@ def _xor_pair_search(e: SopExpr) -> tuple[str, str] | None:
     return best[1], best[2]
 
 
-def _fxor_pair(c1: str, c2: str) -> tuple[str, int, int, int, int] | None:
-    """Match c1 + c2 = common * (u xor v): same dash pattern, exactly two
-    positions where both values flip. Returns (common cube, pos_u, pol_u,
-    pos_v, pol_v) with x^1 = x, x^0 = x'."""
-    diffs = []
-    for j, (a, b) in enumerate(zip(c1, c2)):
-        if a == b:
-            continue
-        if a == DC or b == DC:
-            return None
-        diffs.append(j)
-    if len(diffs) != 2:
+def _fxor_pair(
+    c1: tuple[int, int], c2: tuple[int, int], n: int
+) -> tuple[str, int, int, int, int] | None:
+    """Match c1 + c2 = common * (u xor v) for n-variable cubes given as
+    (dashes, value): the same dashes, and values that differ in exactly two
+    variables. Returns (common cube, pos_u, pol_u, pos_v, pol_v) with
+    x^1 = x, x^0 = x'."""
+    (dashes, value), (dashes2, value2) = c1, c2
+    flips = value ^ value2
+    if dashes != dashes2 or flips.bit_count() != 2:
         return None
-    p, q = diffs
-    common = "".join(
-        DC if j in (p, q) else ch for j, ch in enumerate(c1)
-    )
+    low = flips & -flips
+    high = flips ^ low
+    p, q = n - high.bit_length(), n - low.bit_length()
+    common = _mask_cube(dashes | flips, value & ~flips, n)
     # c1 = C * xp^a * xq^b ; c2 the complements; sum = C * (xp^a xor xq^(1-b))
-    a, b = int(c1[p]), int(c1[q])
-    return (common, p, a, q, 1 - b)
+    return (common, p, int(value & high != 0), q, int(value & low == 0))
 
 
 def _literal_rows(j: int, n: int) -> int:
@@ -386,8 +448,7 @@ def recognize_xor(e: SopExpr, names: tuple[str, ...] | None = None) -> XorReport
     """XOR-aware rendering. Tries a whole-expression cube-pair XOR first
     (exhaustive for <= 4 variables), then pairwise factoring of the cube
     list; anything unmatched passes through as plain SOP."""
-    if names is None:
-        names = default_names(e.n_vars)
+    names = _names_for(e, names)
     if not e.cubes:
         return XorReport(e, "0", 0, "const")
     if e.cubes == (DC * e.n_vars,):
@@ -410,15 +471,15 @@ def recognize_xor(e: SopExpr, names: tuple[str, ...] | None = None) -> XorReport
             )
             return XorReport(e, " ^ ".join(sides), gates, "xor-pair")
     # pairwise pass over the cube list
-    pool = list(e.cubes)
+    pool = list(zip(e.cubes, e.masks))
     plain: list[str] = []
     factored: list[tuple[str, int]] = []  # rendered term, gate count
     n = e.n_vars
     while pool:
-        c1 = pool.pop(0)
+        c1, m1 = pool.pop(0)
         match = None
-        for idx, c2 in enumerate(pool):
-            got = _fxor_pair(c1, c2)
+        for idx, (_, m2) in enumerate(pool):
+            got = _fxor_pair(m1, m2, n)
             if got is not None:
                 match = (idx, got)
                 break
@@ -426,12 +487,12 @@ def recognize_xor(e: SopExpr, names: tuple[str, ...] | None = None) -> XorReport
             plain.append(c1)
             continue
         idx, (common, p, pol_p, q, pol_q) = match
-        c2 = pool.pop(idx)
+        c2, m2 = pool.pop(idx)
         # sanity: the factored term must equal the pair it replaces
         u = _literal_rows(p, n) if pol_p == 1 else ~_literal_rows(p, n)
         v = _literal_rows(q, n) if pol_q == 1 else ~_literal_rows(q, n)
         factored_rows = _cube_rows(*_cube_mask(common)) & (u ^ v)
-        diff = factored_rows ^ _sop_rows((c1, c2))
+        diff = factored_rows ^ _sop_rows((m1, m2))
         if diff:
             row = (diff & -diff).bit_length() - 1
             raise RuntimeError(
@@ -464,12 +525,12 @@ def parse_pla(text: str) -> TruthTableSpec:
     names: tuple[str, ...] | None = None
     # rows assigned so far, per output value and in all; and each row line's
     # rows, to name the line a conflict is with
-    assigned_as: dict[int | str, int] = {0: 0, 1: 0, DC: 0}
+    assigned_as = {"0": 0, "1": 0, DC: 0}
     assigned = 0
     row_lines: list[tuple[int, int]] = []
     saw_end = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         if line.startswith("."):
@@ -477,7 +538,7 @@ def parse_pla(text: str) -> TruthTableSpec:
             directive = fields[0]
             if row_lines and directive in (".i", ".o", ".ilb", ".ob", ".p"):
                 raise ParseError(f"line {lineno}: {directive} after cube rows")
-            if {".i": n, ".o": n_out}.get(directive) is not None:
+            if {".i": n, ".o": n_out, ".ilb": names}.get(directive) is not None:
                 raise ParseError(f"line {lineno}: repeated {directive}")
             if directive == ".i":
                 if len(fields) != 2 or not fields[1].isdecimal():
@@ -524,21 +585,21 @@ def parse_pla(text: str) -> TruthTableSpec:
             )
         if in_part.strip("01-"):  # stops at the first character of any other kind
             raise ParseError(f"line {lineno}: bad input character")
-        if out_part not in ("0", "1", "-"):
+        same = assigned_as.get(out_part)
+        if same is None:
             raise ParseError(f"line {lineno}: bad output value {out_part!r}")
-        value: int | str = DC if out_part == DC else int(out_part)
         if DC in in_part:
             rows = _cube_rows(*_cube_mask(in_part))
         else:
             rows = 1 << int(in_part, 2)
-        clash = rows & (assigned ^ assigned_as[value])
+        clash = rows & (assigned ^ same)
         if clash:
             row = (clash & -clash).bit_length() - 1
             earlier = next(ln for r, ln in reversed(row_lines) if r >> row & 1)
             raise ParseError(
                 f"line {lineno}: row {row} conflicts with line {earlier}"
             )
-        assigned_as[value] |= rows
+        assigned_as[out_part] = same | rows
         assigned |= rows
         row_lines.append((rows, lineno))
     if n is None or n_out is None:
@@ -549,11 +610,7 @@ def parse_pla(text: str) -> TruthTableSpec:
         names = default_names(n)
     if len(names) != n:
         raise ParseError(f".ilb lists {len(names)} names, expected {n}")
-    outputs = tuple(
-        1 if assigned_as[1] >> i & 1 else DC if assigned_as[DC] >> i & 1 else 0
-        for i in range(2 ** n)
-    )
-    return TruthTableSpec(names, outputs)
+    return TruthTableSpec._of_masks(names, assigned_as["1"], assigned_as[DC])
 
 
 # published output-bit equations: (op id, bit name, op kind, bit index,

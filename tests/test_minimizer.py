@@ -16,6 +16,7 @@ from mvq.minimizer import (
     SopExpr,
     TruthTableSpec,
     UnsupportedFeature,
+    XorReport,
     audit_published_forms,
     bit_table_spec,
     check_equiv,
@@ -65,12 +66,16 @@ def brute_force_minimum(spec):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need 2 output entries, got 1$"):
         TruthTableSpec(("a",), (0,))  # wrong length
     with pytest.raises(ValueError):
         TruthTableSpec(("a", "a"), (0, 0, 0, 0))
     with pytest.raises(ValueError):
         TruthTableSpec(("a", "b"), (0, 2, 0, 0))
+    # an output is exactly the int 0, the int 1 or '-': not a value equal to one
+    for bad in (True, False, 1.0, 0.0, "1", "0", "x", None, [1]):
+        with pytest.raises(ValueError, match="^bad output value"):
+            TruthTableSpec(("a",), (0, bad))
     with pytest.raises(ValueError):
         TruthTableSpec(tuple(f"v{i}" for i in range(9)), tuple([0] * 512))
 
@@ -228,6 +233,17 @@ def test_render_sop():
     assert render_sop(SopExpr(2, ("10",)), ("p", "q")) == "p q'"
 
 
+@pytest.mark.parametrize("cubes", [("-11",), (), ("---",), ("1-1", "01-")])
+@pytest.mark.parametrize("names", [("a",), ("a", "b"), ("a", "b", "c", "d")])
+def test_names_must_match_the_variable_count(cubes, names):
+    e = SopExpr(3, cubes)
+    message = f"^{len(names)} names for 3 variables$"
+    with pytest.raises(ValueError, match=message):
+        render_sop(e, names)
+    with pytest.raises(ValueError, match=message):
+        recognize_xor(e, names)
+
+
 def test_recognize_xor_a2():
     rep = recognize_xor(SopExpr(4, ("-1-0", "-0-1")))
     assert rep.rendered == "x2 ^ y2"
@@ -250,8 +266,9 @@ def test_recognize_xor_single_term_passthrough():
 
 
 def test_recognize_xor_constants():
-    assert recognize_xor(SopExpr(3, ())).rendered == "0"
-    assert recognize_xor(SopExpr(3, ("---",))).rendered == "1"
+    for cubes, rendered in (((), "0"), (("---",), "1")):
+        e = SopExpr(3, cubes)
+        assert recognize_xor(e) == XorReport(e, rendered, 0, "const")
 
 
 def test_recognize_xor_equivalence_exhaustive():
@@ -290,12 +307,12 @@ def test_recognize_xor_checks_each_factored_pair(monkeypatch):
     # a factoring with the wrong polarity must raise, also under python -O
     real = minimizer._fxor_pair
 
-    def wrong_polarity(c1, c2):
-        got = real(c1, c2)
+    def wrong_polarity(c1, c2, n):
+        got = real(c1, c2, n)
         return None if got is None else got[:4] + (1 - got[4],)
 
     monkeypatch.setattr(minimizer, "_fxor_pair", wrong_polarity)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="^factored term for 10--- \\+ 01--- differs at row 0$"):
         recognize_xor(SopExpr(5, ("10---", "01---", "--111")))
 
 
@@ -353,6 +370,10 @@ def test_parse_pla_errors():
         parse_pla(".i 2\n.o 1\n11 1\n")  # missing .e
     with pytest.raises(ParseError):
         parse_pla("11 1\n.e\n")  # row before header
+    # a row needs both headers: one of them alone does not do
+    for text in (".i 2\n11 1\n.o 1\n.e\n", ".o 1\n11 1\n.i 2\n.e\n"):
+        with pytest.raises(ParseError, match="^line 2: cube row before .i/.o$"):
+            parse_pla(text)
     with pytest.raises(ParseError):
         parse_pla(".i 2\n.o 1\n1x 1\n.e\n")
     with pytest.raises(ParseError):
@@ -361,6 +382,19 @@ def test_parse_pla_errors():
         parse_pla(".i 2\n.o 1\n.type fr\n11 1\n.e\n")
     with pytest.raises(ParseError):
         parse_pla(".i 2\n.o 1\n.ilb a\n11 1\n.e\n")
+    with pytest.raises(ParseError, match="^line 4: repeated .ilb$"):
+        parse_pla(".i 2\n.o 1\n.ilb a b\n.ilb c d\n11 1\n.e\n")
+    with pytest.raises(ParseError, match="^line 3: duplicate .ilb name 'b'$"):
+        parse_pla(".i 3\n.o 1\n.ilb a b b\n.e\n")
+    for n in (0, 9):
+        with pytest.raises(ParseError, match=f"^line 1: .i {n} outside 1..8$"):
+            parse_pla(f".i {n}\n.o 1\n.e\n")
+
+
+def test_parse_pla_widest_table():
+    spec = parse_pla(".i 8\n.o 1\n11111111 1\n0------- -\n.e\n")
+    assert (spec.on, spec.dc) == (1 << 255, (1 << 128) - 1)
+    assert spec.outputs == (DC,) * 128 + (0,) * 127 + (1,)
     with pytest.raises(ParseError, match="^missing .i or .o header$"):
         parse_pla(".i 2\n.e\n")
     with pytest.raises(ParseError, match="^missing .i or .o header$"):

@@ -1,6 +1,8 @@
 """The minimizer against references written from the definitions: prime
 implicants over all 3^n cubes, minimum covers over all prime subsets, and a
-per-row PLA reader. A pinned digest covers sizes too slow to brute-force."""
+per-row PLA reader. A pinned digest covers sizes too slow to brute-force, and
+fixed-seed differentials hold the mask-built specs and covers to the public
+constructors' and the XOR pair match to its per-character form."""
 
 import functools
 import hashlib
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvq import minimizer
 from mvq.minimizer import (
     DC,
     ParseError,
@@ -205,7 +208,109 @@ def test_parse_pla_matches_a_per_row_reader(case):
             parse_pla(text)
         assert str(err.value) == want
     else:
-        assert parse_pla(text).outputs == want
+        spec = parse_pla(text)
+        twin = TruthTableSpec(default_names(n), want)
+        assert spec.outputs == want and spec == twin
+        assert (spec.on, spec.dc) == (twin.on, twin.dc)
+
+
+def differential_tables():
+    """Fixed-seed tables of 1-6 variables with don't-cares, sparse enough
+    for Petrick to finish at 6 variables, with their names."""
+    rng = random.Random(20261020)
+    for k in range(120):
+        n = 1 + k % 6
+        on, dc = rng.choice(((0.2, 0.05), (0.3, 0.15), (0.5, 0.1))) if n < 6 else (0.2, 0.05)
+        outputs = tuple(
+            1 if r < on else DC if r < on + dc else 0
+            for r in (rng.random() for _ in range(2 ** n))
+        )
+        names = default_names(n) if k % 3 else tuple(f"v{j}" for j in range(n))
+        yield rng, names, outputs
+
+
+def pla_lines(rng, outputs):
+    """Row lines for a table: every row that is not 0, some 0 rows, and
+    dashed cubes whose rows share one value, shuffled."""
+    n = len(outputs).bit_length() - 1
+    lines = [
+        f"{i:0{n}b} {v}" for i, v in enumerate(outputs) if v != 0 or rng.random() < 0.3
+    ]
+    for _ in range(4):
+        cube = "".join(rng.choice("01-") for _ in range(n))
+        values = {outputs[i] for i in rows_of(cube)}
+        if len(values) == 1:
+            lines.append(f"{cube} {values.pop()}")
+    rng.shuffle(lines)
+    return lines
+
+
+def test_parse_pla_spec_is_the_constructors_spec():
+    for rng, names, outputs in differential_tables():
+        text = "\n".join([
+            f".i {len(names)}", ".o 1", ".ilb " + " ".join(names),
+            *pla_lines(rng, outputs), ".e\n",
+        ])
+        spec = parse_pla(text)
+        twin = TruthTableSpec(names, outputs)
+        assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+        assert tuple(map(type, spec.outputs)) == tuple(map(type, outputs))
+        assert (spec.on, spec.dc) == (twin.on, twin.dc)
+
+
+def test_minimize_exact_sop_is_the_constructors_sop():
+    for _, names, outputs in differential_tables():
+        best = minimize_exact(TruthTableSpec(names, outputs))
+        twin = SopExpr(best.n_vars, best.cubes)
+        assert best == twin and hash(best) == hash(twin) and repr(best) == repr(twin)
+        assert best.masks == twin.masks
+        assert recognize_xor(best, names) == recognize_xor(twin, names)
+
+
+def fxor_pair_by_chars(c1, c2):
+    """The XOR pair match on cube strings, one character at a time: the same
+    dashes and exactly two positions where the values flip."""
+    diffs = []
+    for j, (a, b) in enumerate(zip(c1, c2)):
+        if a == b:
+            continue
+        if a == DC or b == DC:
+            return None
+        diffs.append(j)
+    if len(diffs) != 2:
+        return None
+    p, q = diffs
+    common = "".join(DC if j in (p, q) else ch for j, ch in enumerate(c1))
+    return (common, p, int(c1[p]), q, 1 - int(c1[q]))
+
+
+def cube_pairs():
+    """Every pair of cubes of 1-3 variables, then fixed-seed pairs of 4-6
+    variables, half of them one cube and its copy with two positions
+    flipped, where a flip may also turn a dash into a literal."""
+    for n in (1, 2, 3):
+        cubes = ["".join(c) for c in itertools.product("10-", repeat=n)]
+        yield from itertools.product(cubes, repeat=2)
+    rng = random.Random(20261021)
+    flip = {"1": "0", "0": "1", "-": "1"}
+    for k in range(600):
+        n = 4 + k % 3
+        c1 = "".join(rng.choice("10-") for _ in range(n))
+        if k % 2:
+            c2 = "".join(rng.choice("10-") for _ in range(n))
+        else:
+            picked = rng.sample(range(n), 2)
+            c2 = "".join(flip[ch] if j in picked else ch for j, ch in enumerate(c1))
+        yield c1, c2
+
+
+def test_fxor_pair_matches_the_character_loop():
+    found = 0
+    for c1, c2 in cube_pairs():
+        got = minimizer._fxor_pair(minimizer._cube_mask(c1), minimizer._cube_mask(c2), len(c1))
+        assert got == fxor_pair_by_chars(c1, c2), (c1, c2)
+        found += got is not None
+    assert found > 150  # the pairs reach the match, not only its refusals
 
 
 def pinned_specs():

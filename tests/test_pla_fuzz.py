@@ -46,12 +46,16 @@ def valid_pla(draw):
 
 @st.composite
 def with_late_header(draw, lines, op):
-    """lines with a header inserted before .e: for "repeat" a second .i or
-    .o anywhere, for "late" any header directive after the first cube row."""
+    """lines with a header inserted before .e: for "repeat" a second .i, .o
+    or (when the lines have one) .ilb anywhere, for "late" any header
+    directive after the first cube row."""
     end = next((k for k, line in enumerate(lines) if line.strip() == ".e"), len(lines))
     rows = [k for k in range(end) if not lines[k].startswith(".")]
     if op == "repeat" or not rows:
-        header, start = draw(st.sampled_from((".i 2", ".o 1"))), 0
+        repeats = [".i 2", ".o 1"]
+        if any(line.split()[:1] == [".ilb"] for line in lines[:end]):
+            repeats.append(".ilb a b")
+        header, start = draw(st.sampled_from(repeats)), 0
     else:
         header = draw(st.sampled_from((".i 2", ".o 1", ".ilb a b", ".ob f", ".p 1")))
         start = rows[0] + 1
@@ -119,6 +123,8 @@ def test_parse_pla_raises_only_its_own_errors(text):
 @settings(max_examples=150, deadline=None)
 # the earlier row used to be read again under the later width
 @example(".i 2\n.o 1\n11 1\n.i 3\n.e\n")
+# the second .ilb used to replace the first
+@example(".i 2\n.o 1\n.ilb a b\n.ilb c d\n11 1\n.e\n")
 @given(pla_with_late_header())
 def test_repeated_or_late_header_is_a_parse_error(text):
     with pytest.raises(ParseError):

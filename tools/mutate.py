@@ -7,12 +7,13 @@ Each mutant changes one site of the module's syntax tree: it swaps `<`/`<=`,
 `>`/`>=`, `==`/`!=`, `is`/`is not`, `&`/`|`, `+`/`-`, `<<`/`>>` or
 `and`/`or`, or adds one to an int constant (DeMillo, Lipton & Sayward,
 Hints on test data selection, 1978). Type annotations are left alone: under
-`from __future__ import annotations` they are never evaluated. `--count`
-sites are drawn at random with `--seed`; each mutant is written into a copy
-of the repository and the given test files are run on it with `-x`. A
-mutant is killed when the run fails or outlasts `--timeout`; the survivors
-are the ones to kill with a test or to argue equivalent. Prints one line
-per mutant and exits 1 if any survived.
+`from __future__ import annotations` they are never evaluated. `--function
+NAME` (repeatable; a top-level function or `Class.method`) keeps only the
+sites inside those definitions. `--count` sites are drawn at random with
+`--seed`; each mutant is written into a copy of the repository and the given
+test files are run on it with `-x`. A mutant is killed when the run fails or
+outlasts `--timeout`; the survivors are the ones to kill with a test or to
+argue equivalent. Prints one line per mutant and exits 1 if any survived.
 """
 
 from __future__ import annotations
@@ -53,13 +54,30 @@ def annotation_nodes(tree: ast.AST) -> set[int]:
     return {id(sub) for root in roots for sub in ast.walk(root)}
 
 
-def sites(tree: ast.AST) -> list[tuple[int, int]]:
+def function_nodes(tree: ast.Module, names: list[str]) -> set[int]:
+    """ids of every node inside the named top-level functions and methods."""
+    kinds = ast.FunctionDef | ast.AsyncFunctionDef
+    defs = {node.name: node for node in tree.body if isinstance(node, kinds)}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            defs.update(
+                (f"{cls.name}.{node.name}", node) for node in cls.body if isinstance(node, kinds)
+            )
+    missing = [name for name in names if name not in defs]
+    if missing:
+        sys.exit(f"no function {', '.join(missing)} in the module")
+    return {id(sub) for name in names for sub in ast.walk(defs[name])}
+
+
+def sites(tree: ast.Module, functions: list[str] | None = None) -> list[tuple[int, int]]:
     """(index of the node in ast.walk order, index of the operator within
-    it) for every mutable site outside annotations."""
+    it) for every mutable site outside annotations, and inside the named
+    functions when any are named."""
     skip = annotation_nodes(tree)
+    within = function_nodes(tree, functions) if functions else None
     found = []
     for k, node in enumerate(ast.walk(tree)):
-        if id(node) in skip:
+        if id(node) in skip or (within is not None and id(node) not in within):
             continue
         if isinstance(node, ast.Compare):
             found += [(k, j) for j, op in enumerate(node.ops) if type(op) in SWAPS]
@@ -106,9 +124,11 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=30)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--timeout", type=float, default=120)
+    parser.add_argument("--function", action="append", metavar="NAME",
+                        help="mutate only inside this function or Class.method (repeatable)")
     args = parser.parse_args()
     source = (ROOT / args.module).read_text()
-    found = sites(ast.parse(source))
+    found = sites(ast.parse(source), args.function)
     picked = sorted(random.Random(args.seed).sample(found, min(args.count, len(found))))
     survived = 0
     with tempfile.TemporaryDirectory() as tmp:
