@@ -13,15 +13,16 @@ the path when they fail.
 
 Start-up: `import mvq.cli` loads only what `table`, `verify`, `metrics` and
 `compare` need. `minimize` and `audit` import `minimizer` when they run,
-`sim` (and a `voltage_map` config key) imports `sim`, and `argparse` and
-`json` load where a parser is built or a document read. The module
-`__getattr__` still serves the names this module once imported from
-`minimizer` and `sim`, because `perfbench/spans.py` reads and patches them
-here.
+`sim` (and a `voltage_map` config key) imports `sim`, and `json` loads where
+a document is read. `argparse` loads when `main` first builds the parser,
+once per process; later calls reuse that parser. The module `__getattr__`
+still serves the names this module once imported from `minimizer` and
+`sim`, because `perfbench/spans.py` reads and patches them here.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import io
 import os
@@ -380,42 +381,34 @@ _COMMANDS = (
 )
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for one call's arguments. Each subcommand's name and help
-    line are kept, and they are all the usage line, --help and the
-    invalid-choice error read; a parser is built only for a subcommand named
-    by one of argv's tokens, the others map to None. argparse hands the rest
-    of argv only to the subparser whose name equals the command token, so a
-    None is never called. prog="mvq" is the prefix argparse would derive."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser for every call: the top-level parser and one subparser per
+    `_COMMANDS` entry, each with --config. Built on the first call and
+    returned from then on; parse_args keeps its results in a new namespace,
+    so a parse leaves nothing behind for the next. prog="mvq" is the prefix
+    argparse would derive."""
     import argparse
 
-    def subparser(reached: bool, **kwargs: object) -> argparse.ArgumentParser | None:
-        return argparse.ArgumentParser(**kwargs) if reached else None
-
     parser = argparse.ArgumentParser(prog="mvq", description="quaternary logic circuit toolkit")
-    sub = parser.add_subparsers(dest="command", required=True, prog="mvq", parser_class=subparser)
-    named = set(argv)
+    sub = parser.add_subparsers(dest="command", required=True, prog="mvq")
     for name, help_text, arguments in _COMMANDS:
-        p = sub.add_parser(name, help=help_text, reached=name in named)
-        if p is None:
-            continue
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value config file")
         for flag, arg_help, action in arguments:
             p.add_argument(flag, help=arg_help, action=action)
-        # read per build, so that a patched cmd_<name> is the one that runs
-        p.set_defaults(fn=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        code = args.fn(args, load_config(args.config))
+        # looked up per call, so that a patched cmd_<name> is the one that runs
+        code = globals()[f"cmd_{args.command}"](args, load_config(args.config))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early; send what is still buffered to

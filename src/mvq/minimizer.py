@@ -116,6 +116,8 @@ class TruthTableSpec:
 
     def row_bits(self, index: int) -> tuple[int, ...]:
         n = self.n_vars
+        if not 0 <= index < 2 ** n:
+            raise ValueError(f"row {index} outside 0..{2 ** n - 1}")
         return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
 
 
@@ -270,6 +272,11 @@ class SopExpr:
         return sum(cube_literal_count(c) for c in self.cubes)
 
     def evaluate(self, bits: tuple[int, ...]) -> int:
+        if len(bits) != self.n_vars:
+            raise ValueError(f"{len(bits)} bits for {self.n_vars} variables")
+        for b in bits:
+            if b != 0 and b != 1:
+                raise ValueError(f"bad bit {b!r}")
         for cube in self.cubes:
             if all(ch == DC or int(ch) == b for ch, b in zip(cube, bits)):
                 return 1
@@ -346,6 +353,8 @@ def check_equiv(e: SopExpr, spec: TruthTableSpec) -> bool:
 
 
 def render_cube(cube: str, names: tuple[str, ...]) -> str:
+    if len(names) != len(cube):
+        raise ValueError(f"{len(names)} names for {len(cube)} variables")
     parts = []
     for ch, name in zip(cube, names):
         if ch == "1":

@@ -1,6 +1,7 @@
 """CLI behavior: output formats, exit codes, config handling."""
 
 import argparse
+import contextlib
 import dataclasses
 import io
 import json
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 from test_readme import EXAMPLES as README_EXAMPLES
+from test_readme import _m1_pla
 
 import mvq.cli
 from mvq import circuits, minimizer, sim
@@ -667,17 +669,17 @@ def test_usage_errors(capsys, monkeypatch):
     assert all(re.search(rf"\b{name}\b", choices) for name in NAMES), err
 
 
-# argv lists run against the parser a call builds and the full one: the README
-# examples, the benchmark's invalid commands, help, and argv that names more
-# than one subcommand, an abbreviation or none
+# argv lists run against the parser main reuses and a freshly built one: the
+# README examples, the benchmark's invalid commands, help, and argv that names
+# more than one subcommand, an abbreviation or none
 PARSER_CORPUS = [
     *(argv for argv, _ in README_EXAMPLES),
     [], ["frobnicate"], ["-h"], ["--help"], ["--bogus", "verify", "all"],
     ["--", "verify", "all"], ["ver"], ["compare", "verify", "table"],
     ["table", "nosuch"], ["verify", "nosuch"], ["metrics", "nosuch"], ["sim", "nosuch"],
     ["compare", "q2b", "mod4-add"], ["minimize", "-"],
-    # the top-level parser reports after the reached subparser has returned,
-    # so its usage lists every name
+    # the top-level parser reports after the subparser has returned, so its
+    # usage lists every name
     ["verify", "q2b", "extra"], ["table", "q2b", "--bogus"], ["-h", "table"],
     ["compare", "q2b", "q2b", "q2b"], ["verify", "q2b", "--config=x.cfg"],
     *([name] for name in NAMES),
@@ -685,26 +687,46 @@ PARSER_CORPUS = [
 ]
 
 
-def _parse(capsys, parser, argv):
+def _parse(parser, argv):
     """The namespace argv parses to, or the exit code; then stdout, stderr."""
-    try:
-        result = vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        result = exc.code
-    captured = capsys.readouterr()
-    return result, captured.out, captured.err
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def reused_parses():
+    """Every PARSER_CORPUS argv parsed twice by the parser main reuses, with a
+    usage error and --help between the two passes."""
+    parser = mvq.cli.build_parser()
+    first = [_parse(parser, argv) for argv in PARSER_CORPUS]
+    assert _parse(parser, ["frobnicate"])[0] == 2
+    assert _parse(parser, ["--help"])[0] == 0
+    second = [_parse(parser, argv) for argv in PARSER_CORPUS]
+    return first, second
 
 
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "none")
-def test_parser_for_a_call_parses_as_the_full_parser(capsys, argv):
-    full = _parse(capsys, mvq.cli.build_parser(NAMES), argv)
-    assert _parse(capsys, mvq.cli.build_parser(argv), argv) == full
+def test_parser_for_a_call_parses_as_the_full_parser(reused_parses, argv):
+    i = PARSER_CORPUS.index(argv)
+    fresh = _parse(mvq.cli.build_parser.__wrapped__(), argv)
+    assert [passes[i] for passes in reused_parses] == [fresh, fresh]
 
 
-@pytest.mark.parametrize("argv, built", [
-    (["verify", "q2b"], 2), (["frobnicate"], 1), (["compare", "verify", "table"], 4),
-], ids=["verify q2b", "frobnicate", "compare verify table"])
-def test_a_call_builds_a_parser_only_for_the_subcommands_it_names(monkeypatch, argv, built):
+def test_readme_examples_repeat_after_a_usage_error(capsys, tmp_path, monkeypatch):
+    (tmp_path / "m1.pla").write_text(_m1_pla())
+    monkeypatch.chdir(tmp_path)
+    for argv, _ in README_EXAMPLES:
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, "frobnicate")[0] == 2
+        assert run_cli(capsys, *argv) == first, argv
+
+
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
     init = argparse.ArgumentParser.__init__
     parsers = []
 
@@ -713,8 +735,19 @@ def test_a_call_builds_a_parser_only_for_the_subcommands_it_names(monkeypatch, a
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    mvq.cli.build_parser(argv)
-    assert len(parsers) == built
+    mvq.cli.build_parser.cache_clear()
+    assert run_cli(capsys, "verify", "q2b")[0] == 0
+    assert len(parsers) == 1 + len(NAMES)
+    assert run_cli(capsys, "verify", "q2b")[0] == 0
+    assert len(parsers) == 1 + len(NAMES)
+
+
+def test_a_handler_patched_after_the_parser_is_built_runs(capsys, monkeypatch):
+    mvq.cli.build_parser()
+    seen = []
+    monkeypatch.setattr(mvq.cli, "cmd_verify", lambda args, cfg: seen.append(args.circuit) or 1)
+    assert run_cli(capsys, "verify", "q2b") == (1, "", "")
+    assert seen == ["q2b"]
 
 
 @pytest.mark.parametrize("argv", [["verify", "q2b"], ["--help"], ["sim", "--help"]])

@@ -26,6 +26,7 @@ from mvq.minimizer import (
     parse_pla,
     prime_implicants,
     recognize_xor,
+    render_cube,
     render_sop,
 )
 
@@ -85,6 +86,21 @@ def test_row_bits_msb_first():
     assert spec.row_bits(0) == (0, 0, 0)
     assert spec.row_bits(4) == (1, 0, 0)
     assert spec.row_bits(6) == (1, 1, 0)
+    assert spec.row_bits(7) == (1, 1, 1)
+    for index in (-1, 8, 9):
+        with pytest.raises(ValueError, match=f"^row {index} outside 0..7$"):
+            spec.row_bits(index)
+
+
+def test_evaluate_checks_its_bits():
+    e = SopExpr(3, ("-11",))
+    assert e.evaluate((0, 1, 1)) == 1
+    for bits in ((1, 1), (0, 1, 1, 1), ()):
+        with pytest.raises(ValueError, match=f"^{len(bits)} bits for 3 variables$"):
+            e.evaluate(bits)
+    for bad in (2, -1, 0.5, None):
+        with pytest.raises(ValueError, match="^bad bit"):
+            e.evaluate((0, bad, 1))
 
 
 def test_sop_expr_invariants():
@@ -231,6 +247,7 @@ def test_render_sop():
     assert render_sop(SopExpr(4, ())) == "0"
     assert render_sop(SopExpr(2, ("--",))) == "1"
     assert render_sop(SopExpr(2, ("10",)), ("p", "q")) == "p q'"
+    assert render_cube("-10", ("a", "b", "c")) == "b c'"
 
 
 @pytest.mark.parametrize("cubes", [("-11",), (), ("---",), ("1-1", "01-")])
@@ -242,6 +259,8 @@ def test_names_must_match_the_variable_count(cubes, names):
         render_sop(e, names)
     with pytest.raises(ValueError, match=message):
         recognize_xor(e, names)
+    with pytest.raises(ValueError, match=message):
+        render_cube("-11", names)
 
 
 def test_recognize_xor_a2():
