@@ -7,23 +7,25 @@ identity on 0..3. Circuits operating on the 2-bit encoding expose binary
 ports named x1,x2[,y1,y2] (msb first); fully quaternary circuits expose x[,y]
 and q. The catalog covers both converter directions, the five mod-4
 operations, GF(4) addition, and two structurally different GF(4) multipliers.
-"""
+
+The q2b converter and each operation's binary core are written once, as a
+function that adds their gates to a given netlist on given nets and returns
+their two output nets. A builder calls one of them on a netlist of its own
+ports; quat_view calls the same functions on one quaternary netlist, a q2b per
+operand feeding the core and a b2q gate combining its outputs, as in the
+paper's Q->B, binary core, B->Q composition."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .arith_core import OpKind, apply_op, decode_b2q
-from .netlist import GateKind, Metrics, Netlist, NetlistError, SignalType
+from .netlist import GateKind, Metrics, Netlist, SignalType
 
 _B = SignalType.BIN
 _Q = SignalType.QUAT
-
-
-class PortShapeMismatch(NetlistError):
-    pass
 
 
 # Published per-circuit transistor totals, kept as metadata with a note: they
@@ -42,110 +44,72 @@ PUBLISHED_NOTE = (
 )
 
 
-def build_q2b() -> Netlist:
+def _connect(n: Netlist, nets: Iterable[int]) -> Netlist:
+    """Drive n's output ports, in order, from nets; validate and return n."""
+    for (name, _), net in zip(n.output_ports, nets):
+        n.connect_output(name, net)
+    n.validate()
+    return n
+
+
+def _q2b(n: Netlist, q: int) -> tuple[int, int]:
     """Quaternary-to-binary converter: three down literals plus a 2:1 mux.
 
     x1 = NOT(DLC2(q)); x2 = NOT(mux(sel=DLC2(q), a=DLC1(q), b=DLC3(q))).
     """
-    n = Netlist([("q", _Q)], [("x1", _B), ("x2", _B)])
-    qn = n.input_net("q")
-    d1 = n.add_gate(GateKind.DLC1, [qn])
-    d2 = n.add_gate(GateKind.DLC2, [qn])
-    d3 = n.add_gate(GateKind.DLC3, [qn])
-    n.connect_output("x1", n.add_gate(GateKind.NOT, [d2]))
-    mux = n.add_gate(GateKind.BMUX2, [d2, d1, d3])
-    n.connect_output("x2", n.add_gate(GateKind.NOT, [mux]))
-    n.validate()
-    return n
+    d1 = n.add_gate(GateKind.DLC1, [q])
+    d2 = n.add_gate(GateKind.DLC2, [q])
+    d3 = n.add_gate(GateKind.DLC3, [q])
+    x1 = n.add_gate(GateKind.NOT, [d2])
+    return x1, n.add_gate(GateKind.NOT, [n.add_gate(GateKind.BMUX2, [d2, d1, d3])])
 
 
-def build_b2q() -> Netlist:
-    """Binary-to-quaternary converter as a behavioral primitive."""
-    n = Netlist([("x1", _B), ("x2", _B)], [("q", _Q)])
-    n.connect_output(
-        "q", n.add_gate(GateKind.B2Q, [n.input_net("x1"), n.input_net("x2")])
-    )
-    n.validate()
-    return n
+# The binary cores: each adds its gates to n, reading the operands' bit nets
+# (msb first, x before y), and returns its (msb, lsb) output nets.
 
 
-def _binary_core(out_msb: str, out_lsb: str) -> tuple[Netlist, int, int, int, int]:
-    n = Netlist(
-        [("x1", _B), ("x2", _B), ("y1", _B), ("y2", _B)],
-        [(out_msb, _B), (out_lsb, _B)],
-    )
-    return (n, n.input_net("x1"), n.input_net("x2"), n.input_net("y1"), n.input_net("y2"))
-
-
-def build_mod4_adder() -> Netlist:
+def _mod4_add(n: Netlist, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int]:
     # a1 = (x1 xor y1) xor (x2 y2); a2 = x2 xor y2
-    n, x1, x2, y1, y2 = _binary_core("a1", "a2")
     t1 = n.add_gate(GateKind.XOR2, [x1, y1])
     t2 = n.add_gate(GateKind.AND2, [x2, y2])
-    n.connect_output("a1", n.add_gate(GateKind.XOR2, [t1, t2]))
-    n.connect_output("a2", n.add_gate(GateKind.XOR2, [x2, y2]))
-    n.validate()
-    return n
+    return n.add_gate(GateKind.XOR2, [t1, t2]), n.add_gate(GateKind.XOR2, [x2, y2])
 
 
-def build_mod4_subtractor() -> Netlist:
+def _mod4_sub(n: Netlist, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int]:
     # s1 = (x1 xor y1) xor (x2' y2); s2 = x2 xor y2
-    n, x1, x2, y1, y2 = _binary_core("s1", "s2")
     t1 = n.add_gate(GateKind.XOR2, [x1, y1])
     t2 = n.add_gate(GateKind.ANDN2, [x2, y2])
-    n.connect_output("s1", n.add_gate(GateKind.XOR2, [t1, t2]))
-    n.connect_output("s2", n.add_gate(GateKind.XOR2, [x2, y2]))
-    n.validate()
-    return n
+    return n.add_gate(GateKind.XOR2, [t1, t2]), n.add_gate(GateKind.XOR2, [x2, y2])
 
 
-def build_mod4_multiplier() -> Netlist:
+def _mod4_mul(n: Netlist, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int]:
     # m1 = (x1 y2) xor (x2 y1); m2 = x2 y2
-    n, x1, x2, y1, y2 = _binary_core("m1", "m2")
     t1 = n.add_gate(GateKind.AND2, [x1, y2])
     t2 = n.add_gate(GateKind.AND2, [x2, y1])
-    n.connect_output("m1", n.add_gate(GateKind.XOR2, [t1, t2]))
-    n.connect_output("m2", n.add_gate(GateKind.AND2, [x2, y2]))
-    n.validate()
-    return n
+    return n.add_gate(GateKind.XOR2, [t1, t2]), n.add_gate(GateKind.AND2, [x2, y2])
 
 
-def build_mod4_negator() -> Netlist:
+def _mod4_neg(n: Netlist, x1: int, x2: int) -> tuple[int, int]:
     # n1 = x1 xor x2; n2 = x2 (wire)
-    n = Netlist([("x1", _B), ("x2", _B)], [("n1", _B), ("n2", _B)])
-    n.connect_output(
-        "n1", n.add_gate(GateKind.XOR2, [n.input_net("x1"), n.input_net("x2")])
-    )
-    n.connect_output("n2", n.input_net("x2"))
-    n.validate()
-    return n
+    return n.add_gate(GateKind.XOR2, [x1, x2]), x2
 
 
-def build_mod4_doubler() -> Netlist:
+def _mod4_dbl(n: Netlist, x1: int, x2: int) -> tuple[int, int]:
     # d1 = x2 (wire); d2 = 0 (constant); zero counted gates
-    n = Netlist([("x1", _B), ("x2", _B)], [("d1", _B), ("d2", _B)])
-    n.connect_output("d1", n.input_net("x2"))
-    n.connect_output("d2", n.add_gate(GateKind.CONST0))
-    n.validate()
-    return n
+    return x2, n.add_gate(GateKind.CONST0)
 
 
-def build_gf4_adder() -> Netlist:
+def _gf4_add(n: Netlist, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int]:
     # carry-free: a1 = x1 xor y1; a2 = x2 xor y2
-    n, x1, x2, y1, y2 = _binary_core("a1", "a2")
-    n.connect_output("a1", n.add_gate(GateKind.XOR2, [x1, y1]))
-    n.connect_output("a2", n.add_gate(GateKind.XOR2, [x2, y2]))
-    n.validate()
-    return n
+    return n.add_gate(GateKind.XOR2, [x1, y1]), n.add_gate(GateKind.XOR2, [x2, y2])
 
 
-def build_gf4_mul_sop() -> Netlist:
+def _gf4_mul_sop(n: Netlist, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int]:
     """GF(4) multiplier, two-level form with explicit inverters.
 
     m1 = x1 y1' y2 + x1 x2' y1 y2' + x1' x2 y1 + x2 y1 y2
     m2 = (x1 y1) xor (x2 y2)
     """
-    n, x1, x2, y1, y2 = _binary_core("m1", "m2")
     nx1 = n.add_gate(GateKind.NOT, [x1])
     nx2 = n.add_gate(GateKind.NOT, [x2])
     ny1 = n.add_gate(GateKind.NOT, [y1])
@@ -154,12 +118,74 @@ def build_gf4_mul_sop() -> Netlist:
     t2 = n.add_gate(GateKind.AND4, [x1, nx2, y1, ny2])
     t3 = n.add_gate(GateKind.AND3, [nx1, x2, y1])
     t4 = n.add_gate(GateKind.AND3, [x2, y1, y2])
-    n.connect_output("m1", n.add_gate(GateKind.OR4, [t1, t2, t3, t4]))
+    m1 = n.add_gate(GateKind.OR4, [t1, t2, t3, t4])
     p1 = n.add_gate(GateKind.AND2, [x1, y1])
     p2 = n.add_gate(GateKind.AND2, [x2, y2])
-    n.connect_output("m2", n.add_gate(GateKind.XOR2, [p1, p2]))
-    n.validate()
-    return n
+    return m1, n.add_gate(GateKind.XOR2, [p1, p2])
+
+
+# cid -> (core, output port names of the circuit as built)
+_CORES: dict[str, tuple[Callable[..., tuple[int, int]], tuple[str, str]]] = {
+    "mod4-add": (_mod4_add, ("a1", "a2")),
+    "mod4-sub": (_mod4_sub, ("s1", "s2")),
+    "mod4-mul": (_mod4_mul, ("m1", "m2")),
+    "mod4-neg": (_mod4_neg, ("n1", "n2")),
+    "mod4-dbl": (_mod4_dbl, ("d1", "d2")),
+    "gf4-add": (_gf4_add, ("a1", "a2")),
+    "gf4-mul-sop": (_gf4_mul_sop, ("m1", "m2")),
+}
+
+
+_BIT_PORTS = (("x1", _B), ("x2", _B), ("y1", _B), ("y2", _B))
+
+
+def _core_netlist(cid: str) -> Netlist:
+    """The circuit's binary core alone, on ports x1,x2[,y1,y2] (msb first)."""
+    core, outs = _CORES[cid]
+    ins = _BIT_PORTS[: 2 * REGISTRY[cid].op.arity]
+    n = Netlist(ins, [(p, _B) for p in outs])
+    return _connect(n, core(n, *range(len(ins))))  # input port i drives net i
+
+
+def build_q2b() -> Netlist:
+    """Quaternary-to-binary converter on its own ports."""
+    n = Netlist([("q", _Q)], [("x1", _B), ("x2", _B)])
+    return _connect(n, _q2b(n, n.input_net("q")))
+
+
+def build_b2q() -> Netlist:
+    """Binary-to-quaternary converter as a behavioral primitive."""
+    n = Netlist([("x1", _B), ("x2", _B)], [("q", _Q)])
+    x1, x2 = n.input_net("x1"), n.input_net("x2")
+    return _connect(n, [n.add_gate(GateKind.B2Q, [x1, x2])])
+
+
+def build_mod4_adder() -> Netlist:
+    return _core_netlist("mod4-add")
+
+
+def build_mod4_subtractor() -> Netlist:
+    return _core_netlist("mod4-sub")
+
+
+def build_mod4_multiplier() -> Netlist:
+    return _core_netlist("mod4-mul")
+
+
+def build_mod4_negator() -> Netlist:
+    return _core_netlist("mod4-neg")
+
+
+def build_mod4_doubler() -> Netlist:
+    return _core_netlist("mod4-dbl")
+
+
+def build_gf4_adder() -> Netlist:
+    return _core_netlist("gf4-add")
+
+
+def build_gf4_mul_sop() -> Netlist:
+    return _core_netlist("gf4-mul-sop")
 
 
 def build_gf4_mul_mux() -> Netlist:
@@ -174,56 +200,7 @@ def build_gf4_mul_mux() -> Netlist:
     k = [n.add_gate(GateKind.QCONST, level=lvl) for lvl in range(4)]
     sub_a = n.add_gate(GateKind.QMUX4, [yn, k[0], k[2], k[3], k[1]])
     sub_b = n.add_gate(GateKind.QMUX4, [yn, k[0], k[3], k[1], k[2]])
-    n.connect_output("q", n.add_gate(GateKind.QMUX4, [xn, k[0], yn, sub_a, sub_b]))
-    n.validate()
-    return n
-
-
-def _splice(dst: Netlist, src: Netlist, seed: dict[int, int]) -> dict[int, int]:
-    """Copy src's gates into dst; seed maps src input nets to dst nets.
-    Returns the full src-net to dst-net map."""
-    net_map = dict(seed)
-    for g in src.topo_gates():
-        net_map[g.output] = dst.add_gate(
-            g.kind, [net_map[n] for n in g.inputs], level=g.level
-        )
-    return net_map
-
-
-def compose_with_converters(core: Netlist) -> Netlist:
-    """Wrap a 2-bit-encoded core with a q2b converter per quaternary operand
-    and a b2q converter on the result, giving ports x[,y] -> q."""
-    in_names = [name for name, _ in core.input_ports]
-    if any(sig is not _B for _, sig in core.input_ports):
-        raise PortShapeMismatch("core inputs must be binary")
-    if in_names == ["x1", "x2"]:
-        operands = [("x", ("x1", "x2"))]
-    elif in_names == ["x1", "x2", "y1", "y2"]:
-        operands = [("x", ("x1", "x2")), ("y", ("y1", "y2"))]
-    else:
-        raise PortShapeMismatch(f"unexpected input ports {in_names}")
-    outs = core.output_ports
-    if len(outs) != 2 or any(sig is not _B for _, sig in outs):
-        raise PortShapeMismatch("core must drive exactly two binary outputs")
-    core.validate()
-
-    wrapped = Netlist([(name, _Q) for name, _ in operands], [("q", _Q)])
-    conv = build_q2b()
-    bit_nets: dict[str, int] = {}
-    for name, (msb, lsb) in operands:
-        m = _splice(wrapped, conv, {conv.input_net("q"): wrapped.input_net(name)})
-        bit_nets[msb] = m[conv.output_net("x1")]
-        bit_nets[lsb] = m[conv.output_net("x2")]
-    m = _splice(
-        wrapped, core, {core.input_net(p): bit_nets[p] for p in in_names}
-    )
-    msb_name, lsb_name = outs[0][0], outs[1][0]
-    result = wrapped.add_gate(
-        GateKind.B2Q, [m[core.output_net(msb_name)], m[core.output_net(lsb_name)]]
-    )
-    wrapped.connect_output("q", result)
-    wrapped.validate()
-    return wrapped
+    return _connect(n, [n.add_gate(GateKind.QMUX4, [xn, k[0], yn, sub_a, sub_b])])
 
 
 @dataclass(frozen=True)
@@ -232,7 +209,6 @@ class CircuitInfo:
     title: str
     build: Callable[[], Netlist]
     op: OpKind | None
-    published_transistors: int | None = None
 
 
 REGISTRY: dict[str, CircuitInfo] = {
@@ -240,30 +216,12 @@ REGISTRY: dict[str, CircuitInfo] = {
     for info in (
         CircuitInfo("q2b", "quaternary-to-binary converter", build_q2b, None),
         CircuitInfo("b2q", "binary-to-quaternary converter", build_b2q, None),
-        CircuitInfo(
-            "mod4-add", "mod-4 adder", build_mod4_adder,
-            OpKind.MOD4_ADD, PUBLISHED_TRANSISTORS["mod4-add"],
-        ),
-        CircuitInfo(
-            "mod4-sub", "mod-4 subtractor", build_mod4_subtractor,
-            OpKind.MOD4_SUB,
-        ),
-        CircuitInfo(
-            "mod4-mul", "mod-4 multiplier", build_mod4_multiplier,
-            OpKind.MOD4_MUL, PUBLISHED_TRANSISTORS["mod4-mul"],
-        ),
-        CircuitInfo(
-            "mod4-neg", "mod-4 negator", build_mod4_negator,
-            OpKind.MOD4_NEG,
-        ),
-        CircuitInfo(
-            "mod4-dbl", "mod-4 doubler", build_mod4_doubler,
-            OpKind.MOD4_DOUBLE,
-        ),
-        CircuitInfo(
-            "gf4-add", "GF(4) adder", build_gf4_adder,
-            OpKind.GF4_ADD, PUBLISHED_TRANSISTORS["gf4-add"],
-        ),
+        CircuitInfo("mod4-add", "mod-4 adder", build_mod4_adder, OpKind.MOD4_ADD),
+        CircuitInfo("mod4-sub", "mod-4 subtractor", build_mod4_subtractor, OpKind.MOD4_SUB),
+        CircuitInfo("mod4-mul", "mod-4 multiplier", build_mod4_multiplier, OpKind.MOD4_MUL),
+        CircuitInfo("mod4-neg", "mod-4 negator", build_mod4_negator, OpKind.MOD4_NEG),
+        CircuitInfo("mod4-dbl", "mod-4 doubler", build_mod4_doubler, OpKind.MOD4_DOUBLE),
+        CircuitInfo("gf4-add", "GF(4) adder", build_gf4_adder, OpKind.GF4_ADD),
         CircuitInfo(
             "gf4-mul-sop", "GF(4) multiplier, two-level form", build_gf4_mul_sop,
             OpKind.GF4_MUL,
@@ -271,7 +229,6 @@ REGISTRY: dict[str, CircuitInfo] = {
         CircuitInfo(
             "gf4-mul-mux", "GF(4) multiplier, quaternary mux form",
             build_gf4_mul_mux, OpKind.GF4_MUL,
-            PUBLISHED_TRANSISTORS["gf4-mul-mux"],
         ),
     )
 }
@@ -339,23 +296,26 @@ def verify_all() -> tuple[VerifyResult, ...]:
 
 
 def quat_view(cid: str) -> Netlist:
-    """The circuit with a fully quaternary interface: converter-wrapped for
-    operation circuits with binary (2-bit encoded) inputs, the bare netlist
-    otherwise."""
+    """The circuit with a fully quaternary interface: an operation circuit
+    with a binary core gets that core between a q2b converter per operand and
+    a b2q converter on the result (ports x[,y] -> q); any other circuit is
+    returned as built."""
     info = get_info(cid)
-    nl = info.build()
-    if info.op is not None and all(sig is _B for _, sig in nl.input_ports):
-        return compose_with_converters(nl)
-    return nl
+    if cid not in _CORES:
+        return info.build()
+    core, _ = _CORES[cid]
+    operands = ("x", "y")[: info.op.arity]
+    n = Netlist([(p, _Q) for p in operands], [("q", _Q)])
+    bits = [b for p in operands for b in _q2b(n, n.input_net(p))]
+    return _connect(n, [n.add_gate(GateKind.B2Q, core(n, *bits))])
 
 
 def circuit_metrics(cid: str, costs=None) -> Metrics:
     """Metrics for the circuit as built, with published totals attached."""
-    info = get_info(cid)
-    m = info.build().metrics(costs)
-    if info.published_transistors is not None:
+    m = get_info(cid).build().metrics(costs)
+    if cid in PUBLISHED_TRANSISTORS:
         m = m._replace(
-            published_transistors=info.published_transistors,
+            published_transistors=PUBLISHED_TRANSISTORS[cid],
             published_note=PUBLISHED_NOTE,
         )
     return m

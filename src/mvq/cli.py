@@ -145,12 +145,13 @@ _FILE_KEYS = {
 
 
 def load_config(path: str | None) -> Config:
-    """Flat key=value file; recognized keys: cost_table, voltage_map, out_dir.
-    Files referenced by a key that do not exist fall back to defaults with a
-    warning."""
+    """Flat key=value file; recognized keys: cost_table, voltage_map, out_dir,
+    each at most once. Files referenced by a key that do not exist fall back
+    to defaults with a warning."""
     cfg = Config()
     if path is None:
         return cfg
+    seen: set[str] = set()
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,6 +159,9 @@ def load_config(path: str | None) -> Config:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise CliError(f"{path}:{lineno}: repeated key {key!r}")
+        seen.add(key)
         if key in _FILE_KEYS:
             field, loader = _FILE_KEYS[key]
             try:

@@ -550,13 +550,13 @@ def parse_pla(text: str) -> TruthTableSpec:
             if {".i": n, ".o": n_out, ".ilb": names}.get(directive) is not None:
                 raise ParseError(f"line {lineno}: repeated {directive}")
             if directive == ".i":
-                if len(fields) != 2 or not fields[1].isdecimal():
+                if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdecimal()):
                     raise ParseError(f"line {lineno}: bad .i")
                 n = int(fields[1])
                 if not 1 <= n <= 8:
                     raise ParseError(f"line {lineno}: .i {n} outside 1..8")
             elif directive == ".o":
-                if len(fields) != 2 or not fields[1].isdecimal():
+                if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdecimal()):
                     raise ParseError(f"line {lineno}: bad .o")
                 n_out = int(fields[1])
                 if n_out != 1:

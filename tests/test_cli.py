@@ -485,6 +485,20 @@ def test_config_bad_line(capsys, tmp_path):
     assert f"{cfg}:2: expected key=value" in err
 
 
+def test_config_repeated_key(capsys, tmp_path):
+    # the first table would stay in force under a warning about the second
+    costs = tmp_path / "costs.json"
+    costs.write_text('{"xor2": 50}')
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"cost_table={costs}\n\ncost_table={tmp_path / 'none.json'}\n")
+    code, out, err = run_cli(capsys, "metrics", "mod4-add", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"{cfg}:3: repeated key 'cost_table'\n"
+    cfg.write_text("out_dir=a\nout_dir=a\n")
+    code, _, err = run_cli(capsys, "verify", "q2b", "--config", str(cfg))
+    assert (code, err) == (2, f"{cfg}:2: repeated key 'out_dir'\n")
+
+
 def test_config_missing_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "verify", "all", "--config", str(tmp_path / "none")

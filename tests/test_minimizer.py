@@ -408,6 +408,11 @@ def test_parse_pla_errors():
     for n in (0, 9):
         with pytest.raises(ParseError, match=f"^line 1: .i {n} outside 1..8$"):
             parse_pla(f".i {n}\n.o 1\n.e\n")
+    # decimal digits of other scripts, which int() would read as numbers
+    with pytest.raises(ParseError, match="^line 1: bad .i$"):
+        parse_pla(".i \u0663\n.o 1\n.ilb a b c\n111 1\n.e\n")
+    with pytest.raises(ParseError, match="^line 2: bad .o$"):
+        parse_pla(".i 1\n.o \u0661\n1 1\n.e\n")
 
 
 def test_parse_pla_widest_table():

@@ -24,6 +24,7 @@ from mvq.netlist import (
     LevelOutOfRange,
     Netlist,
     SignalType,
+    _level_column,
     from_json,
 )
 from mvq.sim import Stimulus, run, sweep_all
@@ -171,6 +172,16 @@ def test_run_rejects_out_of_range_and_bool_levels():
         with pytest.raises(LevelOutOfRange, match=BAD_LEVEL_MESSAGE) as exc:
             run(n, Stimulus((good, {**good, name: bad})))
         assert isinstance(exc.value, ValueError)
+
+
+def test_the_first_bad_level_is_named_not_an_earlier_zero():
+    for column in ((0, 5), b"\x00\x05"):
+        with pytest.raises(LevelOutOfRange, match=r"^q: 5 is not a quat level$"):
+            _level_column(column, Q, "q")
+    n = Netlist([("q", Q)], [("y", Q)])
+    n.connect_output("y", n.input_net("q"))
+    with pytest.raises(LevelOutOfRange, match=r": 5 is not a quat level$"):
+        run(n, Stimulus(({"q": 0}, {"q": 5})))
 
 
 def test_run_empty_stimulus_gives_empty_rows():
