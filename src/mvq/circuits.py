@@ -13,19 +13,29 @@ function that adds their gates to a given netlist on given nets and returns
 their two output nets. A builder calls one of them on a netlist of its own
 ports; quat_view calls the same functions on one quaternary netlist, a q2b per
 operand feeding the core and a b2q gate combining its outputs, as in the
-paper's Q->B, binary core, B->Q composition."""
+paper's Q->B, binary core, B->Q composition.
+
+Every builder and `quat_view` returns a new netlist on each call, which the
+caller may change. The CLI, `verify`, `verify_all` and `circuit_metrics`
+instead read one netlist per circuit and per view, made on first use by
+`info.build()` or `quat_view` and kept for the process (`_shared`); none of
+them changes it or hands it out. `verify` keeps its `VerifyResult` the same
+way. The values kept for a circuit serve only while `REGISTRY` still holds
+the entry they came from (`is`): the next read after a replacement drops
+them, with the entry they came from, and makes them anew."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .arith_core import OpKind, apply_op, decode_b2q
 from .netlist import GateKind, Metrics, Netlist, SignalType
 
 _B = SignalType.BIN
 _Q = SignalType.QUAT
+_T = TypeVar("_T")
 
 
 # Published per-circuit transistor totals, kept as metadata with a note: they
@@ -285,10 +295,36 @@ def _verify_netlist(info: CircuitInfo, nl: Netlist) -> VerifyResult:
     return VerifyResult(info.cid, True, len(tt.rows))
 
 
-def verify(cid: str) -> VerifyResult:
-    """Sweep the builder's netlist against its reference table."""
+# the kept values: cid -> [the REGISTRY entry they came from, its netlist as
+# built, its quaternary view, its VerifyResult], each None until first read
+_KEPT: dict[str, list] = {}
+_BUILT, _VIEW, _VERIFIED = 1, 2, 3
+
+
+def _kept(cid: str, slot: int, make: Callable[[CircuitInfo], _T]) -> _T:
+    """The circuit's value in slot, made from its REGISTRY entry on first
+    read. A replaced entry drops every value kept from the one before it."""
     info = get_info(cid)
-    return _verify_netlist(info, info.build())
+    entry = _KEPT.get(cid)
+    if entry is None or entry[0] is not info:
+        entry = _KEPT[cid] = [info, None, None, None]
+    if entry[slot] is None:
+        entry[slot] = make(info)
+    return entry[slot]
+
+
+def _shared(cid: str, view: bool = False) -> Netlist:
+    """The process's one netlist for the circuit as built or, with view, for
+    its quaternary view. Its readers must not change it or hand it out."""
+    if view:
+        return _kept(cid, _VIEW, lambda info: quat_view(info.cid))
+    return _kept(cid, _BUILT, lambda info: info.build())
+
+
+def verify(cid: str) -> VerifyResult:
+    """Sweep the builder's netlist against its reference table, once per
+    REGISTRY entry."""
+    return _kept(cid, _VERIFIED, lambda info: _verify_netlist(info, _shared(info.cid)))
 
 
 def verify_all() -> tuple[VerifyResult, ...]:
@@ -312,7 +348,7 @@ def quat_view(cid: str) -> Netlist:
 
 def circuit_metrics(cid: str, costs=None) -> Metrics:
     """Metrics for the circuit as built, with published totals attached."""
-    m = get_info(cid).build().metrics(costs)
+    m = _shared(cid).metrics(costs)
     if cid in PUBLISHED_TRANSISTORS:
         m = m._replace(
             published_transistors=PUBLISHED_TRANSISTORS[cid],

@@ -15,9 +15,14 @@ Start-up: `import mvq.cli` loads only what `table`, `verify`, `metrics` and
 `compare` need. `minimize` and `audit` import `minimizer` when they run,
 `sim` (and a `voltage_map` config key) imports `sim`, and `json` loads where
 a document is read. `argparse` loads when `main` first builds the parser,
-once per process; later calls reuse that parser. The module `__getattr__`
-still serves the names this module once imported from `minimizer` and
-`sim`, because `perfbench/spans.py` reads and patches them here.
+once per process; later calls reuse that parser. Nothing is built at
+import either: `table`, `sim` and `compare` read the process's one netlist
+per circuit and per quaternary view (`circuits._shared`), `verify` its one
+`VerifyResult` per circuit and `audit` its one set of rows, each made on
+first use and never changed. The module `__getattr__` still serves the
+names this module once imported from `minimizer` and `sim`, and
+`quat_view` stays imported, because `perfbench/spans.py` reads and patches
+them here.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ from .circuits import (
     CIRCUIT_IDS,
     REGISTRY,
     CircuitInfo,
+    _shared,
     circuit_metrics,
     get_info,
-    quat_view,
+    quat_view,  # not called here: perfbench/spans.py reads and patches it
     verify,
     verify_all,
 )
@@ -213,7 +219,7 @@ def _write_text(dest: str, text: str, out_dir: str) -> None:
 
 def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
     info = _resolve(args.circuit)
-    nl = info.build() if args.bits else quat_view(info.cid)
+    nl = _shared(info.cid, view=not args.bits)
     tt = nl.truth_table()
     two_quat_in = (
         len(tt.inputs) == 2
@@ -330,7 +336,7 @@ def cmd_audit(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_sim(args: argparse.Namespace, cfg: Config) -> int:
     from .sim import export_csv, export_vcd, run, sweep_all, voltage_view
 
-    nl = _resolve(args.circuit).build()
+    nl = _shared(_resolve(args.circuit).cid)
     trace = run(nl, sweep_all(nl))
     csv_text = (
         voltage_view(trace, cfg.voltages) if args.volts else export_csv(trace)
@@ -346,7 +352,7 @@ def cmd_sim(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_compare(args: argparse.Namespace, cfg: Config) -> int:
     info_a, info_b = _resolve(args.a), _resolve(args.b)
-    va, vb = quat_view(info_a.cid), quat_view(info_b.cid)
+    va, vb = _shared(info_a.cid, view=True), _shared(info_b.cid, view=True)
     if va.input_ports != vb.input_ports or va.output_ports != vb.output_ports:
         raise CliError(
             f"port shapes differ: {info_a.cid} is "
