@@ -20,9 +20,11 @@ caller may change. The CLI, `verify`, `verify_all` and `circuit_metrics`
 instead read one netlist per circuit and per view, made on first use by
 `info.build()` or `quat_view` and kept for the process (`_shared`); none of
 them changes it or hands it out. `verify` keeps its `VerifyResult` the same
-way. The values kept for a circuit serve only while `REGISTRY` still holds
-the entry they came from (`is`): the next read after a replacement drops
-them, with the entry they came from, and makes them anew."""
+way, and `circuit_metrics` its `Metrics` for the default costs (a cost
+table's totals are computed on each call). The values kept for a circuit
+serve only while `REGISTRY` still holds the entry they came from (`is`):
+the next read after a replacement drops them, with the entry they came
+from, and makes them anew."""
 
 from __future__ import annotations
 
@@ -296,9 +298,10 @@ def _verify_netlist(info: CircuitInfo, nl: Netlist) -> VerifyResult:
 
 
 # the kept values: cid -> [the REGISTRY entry they came from, its netlist as
-# built, its quaternary view, its VerifyResult], each None until first read
+# built, its quaternary view, its VerifyResult, its default-cost Metrics],
+# each None until first read
 _KEPT: dict[str, list] = {}
-_BUILT, _VIEW, _VERIFIED = 1, 2, 3
+_BUILT, _VIEW, _VERIFIED, _METRICS = 1, 2, 3, 4
 
 
 def _kept(cid: str, slot: int, make: Callable[[CircuitInfo], _T]) -> _T:
@@ -307,7 +310,7 @@ def _kept(cid: str, slot: int, make: Callable[[CircuitInfo], _T]) -> _T:
     info = get_info(cid)
     entry = _KEPT.get(cid)
     if entry is None or entry[0] is not info:
-        entry = _KEPT[cid] = [info, None, None, None]
+        entry = _KEPT[cid] = [info, None, None, None, None]
     if entry[slot] is None:
         entry[slot] = make(info)
     return entry[slot]
@@ -347,7 +350,14 @@ def quat_view(cid: str) -> Netlist:
 
 
 def circuit_metrics(cid: str, costs=None) -> Metrics:
-    """Metrics for the circuit as built, with published totals attached."""
+    """Metrics for the circuit as built, with published totals attached; for
+    the default costs, once per REGISTRY entry."""
+    if costs is None:
+        return _kept(cid, _METRICS, lambda info: _metrics(info.cid, None))
+    return _metrics(cid, costs)
+
+
+def _metrics(cid: str, costs) -> Metrics:
     m = _shared(cid).metrics(costs)
     if cid in PUBLISHED_TRANSISTORS:
         m = m._replace(

@@ -14,15 +14,26 @@ the path when they fail.
 Start-up: `import mvq.cli` loads only what `table`, `verify`, `metrics` and
 `compare` need. `minimize` and `audit` import `minimizer` when they run,
 `sim` (and a `voltage_map` config key) imports `sim`, and `json` loads where
-a document is read. `argparse` loads when `main` first builds the parser,
-once per process; later calls reuse that parser. Nothing is built at
-import either: `table`, `sim` and `compare` read the process's one netlist
-per circuit and per quaternary view (`circuits._shared`), `verify` its one
-`VerifyResult` per circuit and `audit` its one set of rows, each made on
-first use and never changed. The module `__getattr__` still serves the
-names this module once imported from `minimizer` and `sim`, and
-`quat_view` stays imported, because `perfbench/spans.py` reads and patches
-them here.
+a document is read. `argparse` loads only for an argv that `main` leaves to
+it (below), when `main` first builds the parser, once per process; later
+calls reuse that parser. Nothing is built at import either: `table`, `sim`
+and `compare` read the process's one netlist per circuit and per quaternary
+view (`circuits._shared`), `verify` its one `VerifyResult` per circuit,
+`metrics` its one default-cost `Metrics` per circuit and `audit` its one
+set of rows, each made on first use and never changed. The module
+`__getattr__` still serves the names this module once imported from
+`minimizer` and `sim`, and `quat_view` stays imported, because
+`perfbench/spans.py` reads and patches them here.
+
+Parsing: `main` reads a plain command line itself (`_plain_args`): an exact
+subcommand name, then exactly its positional arguments, then its exact
+flags or --config, each at most once, with a value after each flag that
+takes one, and no argument or value that starts with '-' except '-' itself.
+Every other argv goes to `argparse` unchanged: help, '--', '--flag=value',
+an abbreviation, a repeated flag, a flag before a positional, a value that
+looks like an option, and every usage error. So `argparse` prints all help
+and usage text. Both read the one grammar in `_COMMANDS`, and a handler
+gets the same attributes from either.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ import importlib
 import io
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .circuits import (
@@ -51,6 +63,9 @@ if TYPE_CHECKING:
     import argparse
 
     from .sim import VoltageMap
+
+    # a handler's arguments: from _plain_args or from the argparse parser
+    Args = argparse.Namespace | SimpleNamespace
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -217,7 +232,7 @@ def _write_text(dest: str, text: str, out_dir: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_table(args: Args, cfg: Config) -> int:
     info = _resolve(args.circuit)
     nl = _shared(info.cid, view=not args.bits)
     tt = nl.truth_table()
@@ -242,7 +257,7 @@ def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_verify(args: Args, cfg: Config) -> int:
     if args.circuit == "all":
         results = verify_all()
     else:
@@ -258,7 +273,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK if passed == len(results) else EXIT_FAIL
 
 
-def cmd_metrics(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_metrics(args: Args, cfg: Config) -> int:
     if args.circuit == "all":
         infos = [REGISTRY[cid] for cid in CIRCUIT_IDS]
     else:
@@ -282,7 +297,7 @@ def cmd_metrics(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_minimize(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_minimize(args: Args, cfg: Config) -> int:
     from .minimizer import (
         ParseError,
         UnsupportedFeature,
@@ -305,7 +320,7 @@ def cmd_minimize(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_audit(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_audit(args: Args, cfg: Config) -> int:
     from .minimizer import audit_published_forms
 
     rows = audit_published_forms()
@@ -333,7 +348,7 @@ def cmd_audit(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK if good == len(rows) else EXIT_FAIL
 
 
-def cmd_sim(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_sim(args: Args, cfg: Config) -> int:
     from .sim import export_csv, export_vcd, run, sweep_all, voltage_view
 
     nl = _shared(_resolve(args.circuit).cid)
@@ -350,7 +365,7 @@ def cmd_sim(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_compare(args: Args, cfg: Config) -> int:
     info_a, info_b = _resolve(args.a), _resolve(args.b)
     va, vb = _shared(info_a.cid, view=True), _shared(info_b.cid, view=True)
     if va.input_ports != vb.input_ports or va.output_ports != vb.output_ports:
@@ -393,8 +408,8 @@ _COMMANDS = (
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser for every call: the top-level parser and one subparser per
-    `_COMMANDS` entry, each with --config. Built on the first call and
+    """The parser for every argv `_plain_args` does not read: the top-level
+    parser and one subparser per `_COMMANDS` entry, each with --config. Built on the first call and
     returned from then on; parse_args keeps its results in a new namespace,
     so a parse leaves nothing behind for the next. prog="mvq" is the prefix
     argparse would derive."""
@@ -410,12 +425,68 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_grammar(arguments: tuple) -> tuple[tuple[str, ...], dict, dict]:
+    """A subcommand's positional names, its flags' defaults, and flag ->
+    (attribute, takes a value), --config included: argparse's defaults are
+    None for a flag that takes a value and False for one that does not."""
+    positionals = tuple(name for name, _, _ in arguments if not name.startswith("-"))
+    flags = {"--config": ("config", True)} | {
+        flag: (flag[2:].replace("-", "_"), action == "store")
+        for flag, _, action in arguments if flag.startswith("-")
+    }
+    defaults = {dest: None if takes_value else False for dest, takes_value in flags.values()}
+    return positionals, defaults, flags
+
+
+# _plain_args's reading of _COMMANDS: subcommand -> _plain_grammar
+_PLAIN = {name: _plain_grammar(arguments) for name, _, arguments in _COMMANDS}
+
+
+def _is_value(arg: str) -> bool:
+    """Whether argparse reads arg as a value wherever it stands: arg does not
+    start with '-', or is '-'."""
+    return not arg.startswith("-") or arg == "-"
+
+
+def _plain_args(argv: object) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain command line (see the module
+    docstring), or None for any other argv, which main leaves to argparse.
+    Prints nothing and raises nothing."""
+    if type(argv) is not list or not argv or not all(type(arg) is str for arg in argv):
+        return None
+    grammar = _PLAIN.get(argv[0])
+    if grammar is None:
+        return None
+    positionals, defaults, flags = grammar
+    given = argv[1 : len(positionals) + 1]
+    if len(given) < len(positionals) or not all(map(_is_value, given)):
+        return None
+    values = {"command": argv[0], **defaults, **dict(zip(positionals, given))}
+    seen = set()
+    rest = iter(argv[len(positionals) + 1 :])
+    for flag in rest:
+        if flag not in flags or flag in seen:
+            return None
+        seen.add(flag)
+        dest, takes_value = flags[flag]
+        if not takes_value:
+            values[dest] = True
+            continue
+        value = next(rest, None)
+        if value is None or not _is_value(value):
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         # looked up per call, so that a patched cmd_<name> is the one that runs
         code = globals()[f"cmd_{args.command}"](args, load_config(args.config))

@@ -396,12 +396,28 @@ def export_vcd(trace: Trace, timescale: str = "1 ns") -> str:
     return "\n".join(out) + _vcd_changes(trace, idents).translate(None, _FILL).decode()
 
 
+def _voltage_cells(vmap: VoltageMap) -> tuple[tuple[str, ...], ...]:
+    """Each signal type's level cells under vmap, in volts to 1 decimal."""
+    return tuple(
+        tuple(f"{vmap.volts(sig, lv):.1f}" for lv in range(sig.levels)) for sig in SignalType
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _cell_tables(cells: tuple[tuple[str, ...], ...]) -> dict[SignalType, list[bytes]]:
+    """The _write_csv tables that render _voltage_cells. Kept per rendering,
+    not per VoltageMap: maps that compare equal (0.0 and -0.0) can render
+    differently."""
+    return {
+        sig: _slot_tables([cell.encode() for cell in texts])
+        for sig, texts in zip(SignalType, cells)
+    }
+
+
+_DEFAULT_VOLTAGE_CELLS = _voltage_cells(VoltageMap())
+
+
 def voltage_view(trace: Trace, vmap: VoltageMap | None = None) -> str:
     """CSV like export_csv with levels rendered as voltages (1 decimal)."""
-    if vmap is None:
-        vmap = VoltageMap()
-    tables = {
-        sig: _slot_tables([f"{vmap.volts(sig, lv):.1f}".encode() for lv in range(sig.levels)])
-        for sig in SignalType
-    }
-    return _write_csv(trace, tables)
+    cells = _DEFAULT_VOLTAGE_CELLS if vmap is None else _voltage_cells(vmap)
+    return _write_csv(trace, _cell_tables(cells))

@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from test_readme import EXAMPLES as README_EXAMPLES
 from test_readme import _m1_pla
 
@@ -731,6 +733,62 @@ def test_parser_for_a_call_parses_as_the_full_parser(reused_parses, argv):
     assert [passes[i] for passes in reused_parses] == [fresh, fresh]
 
 
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "none")
+def test_main_gives_what_argparse_alone_gives(reused_parses, capsys, tmp_path, monkeypatch, argv):
+    """Where the plain reader reads argv, its namespace is argparse's; and
+    main's exit code, stdout and stderr are those it gives when every argv
+    goes to argparse."""
+    plain = mvq.cli._plain_args(list(argv))
+    parsed = reused_parses[0][PARSER_CORPUS.index(argv)]
+    assert plain is None or (vars(plain), "", "") == parsed
+    (tmp_path / "m1.pla").write_text(_m1_pla())
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for reader in (mvq.cli._plain_args, lambda argv: None):
+        monkeypatch.setattr(mvq.cli, "_plain_args", reader)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(_m1_pla()))
+        runs.append(run_cli(capsys, *argv))
+    assert runs[0] == runs[1]
+
+
+def test_readme_examples_take_the_plain_reader():
+    assert all(mvq.cli._plain_args(list(argv)) for argv, _ in README_EXAMPLES)
+
+
+# every subcommand and flag, near misses argparse reads its own way (an
+# abbreviation, '--flag=value', '--', help, a negative number), values with
+# no letters or a space, and circuit ids
+ARGV_TOKENS = [
+    *NAMES, "--bits", "--xor", "--csv", "--vcd", "--volts", "--config",
+    "--vc", "--config=x", "--", "-h", "-1", "", "a b", "-", "q2b", "mod4-add", "all",
+]
+TOKENS = st.sampled_from(ARGV_TOKENS)
+# most often a token argparse reads as a value, sometimes any token
+VALUES = st.sampled_from([t for t in ARGV_TOKENS if t == "-" or not t.startswith("-")]) | TOKENS
+
+
+@st.composite
+def near_plain_argvs(draw):
+    """A subcommand, as many values as it has positionals, then some of its
+    flags in any order, each with a value after it if it takes one."""
+    name = draw(st.sampled_from(NAMES))
+    positionals, _, flags = mvq.cli._PLAIN[name]
+    argv = [name] + [draw(VALUES) for _ in positionals]
+    for flag in draw(st.permutations(list(flags))):
+        if draw(st.booleans()):
+            argv += [flag, draw(VALUES)] if flags[flag][1] else [flag]
+    return argv
+
+
+@seed(20261020)
+@settings(max_examples=600, deadline=None, database=None)
+@given(st.lists(TOKENS, max_size=7) | near_plain_argvs())
+def test_the_plain_reader_reads_as_argparse(argv):
+    plain = mvq.cli._plain_args(argv)
+    if plain is not None:
+        assert _parse(mvq.cli.build_parser.__wrapped__(), argv) == (vars(plain), "", "")
+
+
 def test_readme_examples_repeat_after_a_usage_error(capsys, tmp_path, monkeypatch):
     (tmp_path / "m1.pla").write_text(_m1_pla())
     monkeypatch.chdir(tmp_path)
@@ -749,11 +807,19 @@ def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    mvq.cli.build_parser.cache_clear()
-    assert run_cli(capsys, "verify", "q2b")[0] == 0
-    assert len(parsers) == 1 + len(NAMES)
-    assert run_cli(capsys, "verify", "q2b")[0] == 0
-    assert len(parsers) == 1 + len(NAMES)
+    # a plain command line builds no parser; the first argv left to argparse
+    # builds the top-level parser and one per subcommand, and later ones none
+    exits = {"ver": 2, "--help": 0}
+    for first, later in (("ver", "--help"), ("--help", "ver")):
+        mvq.cli.build_parser.cache_clear()
+        parsers.clear()
+        assert run_cli(capsys, "verify", "q2b")[0] == 0
+        assert parsers == []
+        assert run_cli(capsys, first)[0] == exits[first]
+        assert len(parsers) == 1 + len(NAMES)
+        assert run_cli(capsys, later)[0] == exits[later]
+        assert run_cli(capsys, "verify", "q2b")[0] == 0
+        assert len(parsers) == 1 + len(NAMES)
 
 
 def test_a_handler_patched_after_the_parser_is_built_runs(capsys, monkeypatch):
@@ -797,6 +863,13 @@ def _fresh_import(statement):
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+def test_argparse_loads_only_for_an_argv_left_to_it():
+    run = "import io, sys, mvq.cli; sys.stdout = io.StringIO(); code = mvq.cli.main({}); "
+    run += "sys.stdout = sys.__stdout__; assert code == 0"
+    assert "argparse" not in _fresh_import(run.format(["verify", "all"]))
+    assert "argparse" in _fresh_import(run.format(["--help"]))
 
 
 def test_import_loads_only_what_table_verify_metrics_and_compare_need():

@@ -1,5 +1,6 @@
 """The values the CLI keeps per process: one netlist per catalog circuit and
-per quaternary view, one VerifyResult per circuit, one set of audit rows.
+per quaternary view, one VerifyResult and one default-cost Metrics per
+circuit, one set of audit rows.
 
 No command may change a kept netlist, the public builders must keep
 returning new ones, a cold call must print what a warm one prints, and a
@@ -17,7 +18,7 @@ from test_cli import AUDIT_STDOUT, PARSER_CORPUS, _fresh_import, _published_row,
 from test_readme import _m1_pla
 
 from mvq import circuits, minimizer
-from mvq.circuits import CIRCUIT_IDS, REGISTRY, quat_view, verify
+from mvq.circuits import CIRCUIT_IDS, REGISTRY, circuit_metrics, quat_view, verify
 from mvq.cli import main
 from mvq.netlist import GateKind, Netlist, SignalType
 
@@ -77,6 +78,23 @@ def test_a_kept_value_is_made_once_and_a_view_is_its_own():
         assert verify(cid) is verify(cid)
     assert circuits.verify_all() == tuple(verify(cid) for cid in CIRCUIT_IDS)
     assert minimizer.audit_published_forms() is minimizer.audit_published_forms()
+
+
+def test_default_metrics_are_measured_once_and_a_cost_table_on_every_call(monkeypatch):
+    _forget_kept()
+    measured = []
+    metrics = Netlist.metrics
+    monkeypatch.setattr(
+        Netlist, "metrics", lambda nl, costs=None: measured.append(costs) or metrics(nl, costs)
+    )
+    costs = {kind: 1 for kind in GateKind}
+    first = circuit_metrics("mod4-add")
+    assert circuit_metrics("mod4-add") is first
+    priced = circuit_metrics("mod4-add", costs)
+    assert circuit_metrics("mod4-add", costs) is not priced
+    assert priced.transistor_estimate == priced.gate_count
+    assert measured == [None, costs, costs]
+    assert first.published_transistors is not None
 
 
 def test_the_public_builders_return_a_new_netlist_on_every_call():
@@ -141,6 +159,19 @@ def test_a_replaced_registry_entry_is_read_then_dropped(capsys, monkeypatch):
     assert gone() is None
     assert run_cli(capsys, "table", "mod4-neg", "--bits") == bits
     assert run_cli(capsys, "verify", "all")[1].endswith("10/10 circuits PASS\n")
+
+
+def test_a_replaced_registry_entry_has_its_metrics_read_then_dropped(capsys, monkeypatch):
+    metrics = run_cli(capsys, "metrics", "mod4-neg")
+    kept = circuit_metrics("mod4-neg")
+    broken = dataclasses.replace(REGISTRY["mod4-neg"], build=_broken_neg)
+    monkeypatch.setitem(REGISTRY, "mod4-neg", broken)
+    assert run_cli(capsys, "metrics", "mod4-neg")[1].splitlines()[1] == "gates: 0"
+    assert circuit_metrics("mod4-neg").gate_count == 0
+    monkeypatch.undo()
+    assert run_cli(capsys, "metrics", "mod4-neg") == metrics
+    assert circuit_metrics("mod4-neg") == kept
+    assert circuit_metrics("mod4-neg") is circuit_metrics("mod4-neg")
 
 
 @pytest.mark.parametrize(

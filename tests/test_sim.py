@@ -283,6 +283,17 @@ def test_voltage_map_validation():
     assert text.splitlines()[2] == "1,0.5,0.0,1.5"
 
 
+def test_voltage_maps_that_compare_equal_render_their_own_cells():
+    # -0.0 == 0.0, so the two maps are equal and hash alike, but print apart
+    nl = build_q2b()
+    trace = run(nl, sweep_all(nl))
+    negative = VoltageMap(quat=(-0.0, 1.1, 2.2, 3.3), bin=(-0.0, 3.3))
+    assert negative == VoltageMap()
+    for _ in range(2):
+        assert voltage_view(trace).splitlines()[1] == "0,0.0,0.0,0.0"
+        assert voltage_view(trace, negative).splitlines()[1] == "0,-0.0,-0.0,-0.0"
+
+
 @pytest.mark.parametrize(
     "vmap",
     [
