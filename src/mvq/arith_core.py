@@ -18,19 +18,23 @@ class BitPair(NamedTuple):
 
 
 class OpKind(Enum):
-    """Dispatch key over the seven quaternary operations."""
+    """Dispatch key over the seven quaternary operations: one row per
+    operation, its name (the value) and its arity."""
 
-    MOD4_ADD = "mod4-add"
-    MOD4_SUB = "mod4-sub"
-    MOD4_MUL = "mod4-mul"
-    MOD4_NEG = "mod4-neg"
-    MOD4_DOUBLE = "mod4-dbl"
-    GF4_ADD = "gf4-add"
-    GF4_MUL = "gf4-mul"
+    arity: int
 
-    @property
-    def arity(self) -> int:
-        return 1 if self in (OpKind.MOD4_NEG, OpKind.MOD4_DOUBLE) else 2
+    def __new__(cls, value, arity):
+        kind = object.__new__(cls)
+        kind._value_, kind.arity = value, arity
+        return kind
+
+    MOD4_ADD = "mod4-add", 2
+    MOD4_SUB = "mod4-sub", 2
+    MOD4_MUL = "mod4-mul", 2
+    MOD4_NEG = "mod4-neg", 1
+    MOD4_DOUBLE = "mod4-dbl", 1
+    GF4_ADD = "gf4-add", 2
+    GF4_MUL = "gf4-mul", 2
 
 
 # Reference tables, row = first operand, column = second operand.

@@ -5,31 +5,30 @@ combinational primitives, each known by the one net it drives. A `Netlist`
 holds its gates as parallel columns (kinds, input-net tuples, output nets,
 levels) and builds `Gate` values only when `gates` or `topo_gates()` is read.
 
-Gates go in a batch at a time, all or none: `add_gates`, `from_json` (which
-reads a document gate by gate, `_read_gates`) and `add_gate` (one gate on a
-fresh net). Every batch of `add_gates` and `add_gate` goes through `_scan`,
-which checks gate by gate in batch order; it is the one source of every
-install error's type, text and precedence. Only `from_json`'s columns are
-checked one rule at a time over whole columns (`_fits`) first, and only a
-document those checks refuse is scanned; the scan accepts exactly the
-batches the column checks accept.
+Gates go in a batch at a time, all or none, through `_add_columns`:
+`add_gates`, `from_json` (which reads a document gate by gate, `_read_gates`)
+and `add_gate` (one gate on a fresh net). `_scan` checks each batch once, gate
+by gate in batch order; it is the one source of every install error's type,
+text and precedence. As it walks a gate's input nets it also notes whether
+each is numbered below the gate's own output net, and returns that order flag
+with the batch's net types.
 
 Each batch is put in dependency order and appended to the order of every
-gate before it, since earlier gates never read a later net; a single gate
-needs no ordering. A batch whose gates read only nets numbered below their
-own (as `to_json`'s documents do) is sorted by output net; any other takes
-Kahn's algorithm, about four times the sort's cost (4.8 against 1.1 ms for
-the gates of one nine-job `sweep` cycle, best of 25; 2-vCPU VM, CPython
-3.11), so both stay. A gate on a cycle, or reading one in its own batch, is
-left out of the order: `add_gate`'s self-loop, and Kahn's leftovers. So
-`validate` checks that the outputs are driven and that every gate is in the
-order (else `_net_on_cycle` names a net on a cycle), then compiles the output
-cone ("cone of influence", Clarke, Grumberg & Peled, Model Checking, 1999):
-the gates that some output reads, directly or through other gates, in
-dependency order. Evaluation walks only that cone, kept until the next
-construction call, which is single-context only; every gate is still
-checked, counted by `metrics` and written by `to_json`. The kernel keeps its
-last result on that cone the same way (`_eval_columns`).
+gate before it, since earlier gates never read a later net. A batch whose
+order flag is set (as it is for `add_gate`'s fresh nets and `to_json`'s
+documents) is sorted by output net; any other takes Kahn's algorithm, about
+four times the sort's cost (4.8 against 1.1 ms for the gates of one nine-job
+`sweep` cycle, best of 25; 2-vCPU VM, CPython 3.11), so both stay. A cycle
+in a batch clears its order flag, since some gate on it reads a net numbered
+at or above its own, and Kahn's algorithm leaves out every gate on a cycle
+or reading one. So `validate` checks that the outputs are driven and that
+every gate is in the order (else `_net_on_cycle` names a net on a cycle),
+then compiles the output cone ("cone of influence", Clarke, Grumberg &
+Peled, Model Checking, 1999): the gates that some output reads, directly or
+through other gates, in dependency order. Evaluation walks only that cone,
+kept until the next construction call, which is single-context only; every
+gate is still checked, counted by `metrics` and written by `to_json`. The
+kernel keeps its last result on that cone the same way (`_eval_columns`).
 
 A level is an exact `int` (no `bool` or other subclass) in 0..levels-1 of
 its signal type; `_level_column` checks that rule wherever levels come in
@@ -51,11 +50,10 @@ tests/test_table_kernel.py.
 from __future__ import annotations
 
 import functools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress, repeat
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 # The largest exhaustive table, bounded by memory. Peak RSS of a 2^16-row,
@@ -67,12 +65,17 @@ MAX_TABLE_STATES = 2 ** 16
 
 
 class SignalType(Enum):
-    BIN = "bin"
-    QUAT = "quat"
+    """One row per signal type: JSON name (the value) and level count."""
 
-    @property
-    def levels(self) -> int:
-        return 2 if self is SignalType.BIN else 4
+    levels: int
+
+    def __new__(cls, value, levels):
+        sig = object.__new__(cls)
+        sig._value_, sig.levels = value, levels
+        return sig
+
+    BIN = "bin", 2
+    QUAT = "quat", 4
 
 
 _B = SignalType.BIN
@@ -266,11 +269,9 @@ def _level_column(values: Iterable[int], sig: SignalType, what: str) -> bytes:
 
 
 _QCONST = GateKind.QCONST  # a module name: reading a member off GateKind is slow
-_KIND_INPUTS = operator.attrgetter("inputs")
-_KIND_OUTPUT = operator.attrgetter("output")
 
 
-def _dependency_order(ins: list[tuple[int, ...]], outs: list[int]) -> list[int]:
+def _dependency_order(ins: list[Sequence[int]], outs: list[int]) -> list[int]:
     """Kahn's algorithm over a batch (gate k reads ins[k] and drives outs[k])
     that reads only its own nets and nets installed before it: the gate
     indices in dependency order, less those on a cycle or reading one."""
@@ -391,55 +392,42 @@ class Netlist:
         inputs: Iterable[int] = (),
         level: int | None = None,
     ) -> int:
-        """Install one gate on the next fresh net and return that net. The
-        gate needs no ordering, as it reads only earlier gates' nets or, on
-        a self-loop left out of the order, its own."""
+        """Install one gate on the next fresh net and return that net; one
+        that reads its own net is a cycle, left to validate()."""
         out = self._next_net
-        nets = tuple(inputs)
-        self._net_type.update(self._scan((kind,), (nets,), (out,), (level,)))
-        self._kinds.append(kind)
-        self._ins.append(nets)
-        self._outs.append(out)
-        self._levels.append(level)
-        if out not in nets:
-            self._order.append(len(self._outs) - 1)
-        self._next_net = out + 1
-        self._gates = self._cone = None
+        self._add_columns([kind], [tuple(inputs)], [out], [level])
         return out
 
     def add_gates(self, gates: Iterable[Gate]) -> None:
         """Install gates given in any order, all or none. Inputs may be any
         existing net or batch output; a second driver for a net, input ports
-        included, raises MultipleDrivers. The batch is put in dependency
-        order and goes after every gate installed before it, none of which
-        reads its nets. Cycles are left to validate()."""
+        included, raises MultipleDrivers. The batch is checked once
+        (_add_columns), put in dependency order and goes after every gate
+        installed before it, none of which reads its nets. Cycles are left to
+        validate()."""
         batch = list(gates)
         if batch:
-            kinds, ins, outs, levels = map(list, zip(*batch))
-            self._scan(kinds, ins, outs, levels)
-            # copies, once the scan has named any error: the caller keeps its lists
-            self._add_columns(kinds, list(map(tuple, ins)), outs, levels)
+            self._add_columns(*map(list, zip(*batch)))
 
     def _add_columns(
         self,
         kinds: list[GateKind],
-        ins: list[tuple[int, ...]],
+        ins: list[Sequence[int]],
         outs: list[int],
         levels: list[int | None],
     ) -> None:
-        """add_gates over a batch given as columns: gate k is kinds[k]
-        reading ins[k], driving outs[k], with levels[k]."""
+        """Install a batch given as columns, the one install path: gate k is
+        kinds[k] reading ins[k], driving outs[k], with levels[k]. One _scan
+        checks the batch, and its order flag picks the dependency order:
+        sorted by output net when every gate reads only nets numbered below
+        its own, else Kahn's algorithm."""
         if not outs:
             return
-        # a batch _fits refuses and the scan passes (a kind that only acts
-        # like a GateKind, say) is ordered by Kahn's algorithm, which takes
-        # any order
-        new_type, by_net = self._fits(kinds, ins, outs, levels) or (
-            self._scan(kinds, ins, outs, levels), False
-        )
+        new_type, by_net = self._scan(kinds, ins, outs, levels)
         base = len(self._outs)
         self._kinds += kinds
-        self._ins += ins
+        # copies, once the scan has named any error: the caller keeps its lists
+        self._ins += map(tuple, ins)
         self._outs += outs
         self._levels += levels
         if by_net:
@@ -450,54 +438,19 @@ class Netlist:
         self._next_net = max(self._next_net - 1, *outs) + 1
         self._gates = self._cone = None
 
-    def _fits(
-        self,
-        kinds: list[GateKind],
-        ins: list[tuple[int, ...]],
-        outs: list[int],
-        levels: list[int | None],
-    ) -> tuple[dict[int, SignalType], bool] | None:
-        """_scan's rules one at a time over whole columns, for exact int nets
-        (from_json's columns, or a batch the scan passed): when the batch
-        passes them all, its output net types and whether every gate reads
-        only nets numbered below its own; else None."""
-        net_type = self._net_type
-        if len(set(outs)) != len(outs) or not net_type.keys().isdisjoint(outs):
-            return None
-        sigs = list(map(_KIND_INPUTS, kinds))
-        arities = list(map(len, ins))
-        if arities != list(map(len, sigs)):
-            return None
-        new_type = dict(zip(outs, map(_KIND_OUTPUT, kinds)))
-        flat = list(chain.from_iterable(ins))
-        # an unknown net reads as None, which is no port type
-        if list(map(new_type.get, flat, map(net_type.get, flat))) != list(
-            chain.from_iterable(sigs)
-        ):
-            return None
-        # every qconst has a level, and no other gate has one
-        q_levels = list(compress(levels, map(operator.is_, kinds, repeat(_QCONST))))
-        if sum(map(operator.is_not, levels, repeat(None))) != len(q_levels):
-            return None
-        try:
-            _level_column(q_levels, SignalType.QUAT, "qconst level")
-        except LevelOutOfRange:
-            return None
-        own = chain.from_iterable(map(repeat, outs, arities))
-        return new_type, all(map(operator.lt, flat, own))
-
     def _scan(
         self,
         kinds: list[GateKind],
-        ins: list[tuple[int, ...]],
+        ins: list[Sequence[int]],
         outs: list[int],
         levels: list[int | None],
-    ) -> dict[int, SignalType]:
+    ) -> tuple[dict[int, SignalType], bool]:
         """The install rules gate by gate, in batch order: first every output
         net (an exact int with no driver yet), then each gate's arity, input
         nets (exact ints that exist, of the port's type) and level. Raises
         the first error (tests/test_netlist_errors.py pins each error's type,
-        text and precedence); else returns the batch's output net types."""
+        text and precedence); else returns the batch's output net types and
+        whether every gate reads only nets numbered below its own output."""
         net_type = self._net_type
         new_type: dict[int, SignalType] = {}
         for kind, out in zip(kinds, outs):
@@ -506,7 +459,8 @@ class Netlist:
             if out in net_type or out in new_type:
                 raise MultipleDrivers(f"net {out} has two drivers")
             new_type[out] = kind.output
-        for kind, nets, level in zip(kinds, ins, levels):
+        by_net = True
+        for kind, nets, out, level in zip(kinds, ins, outs, levels):
             in_sigs = kind.inputs
             if len(nets) != len(in_sigs):
                 raise ArityMismatch(
@@ -515,6 +469,8 @@ class Netlist:
             for net, sig in zip(nets, in_sigs):
                 if type(net) is not int:
                     raise NetlistError(f"net {net!r} is not an int")
+                if net >= out:
+                    by_net = False
                 have = net_type.get(net)
                 if have is None:
                     have = new_type.get(net)
@@ -529,7 +485,7 @@ class Netlist:
                 _level_column((level,), SignalType.QUAT, "qconst level")
             elif level is not None:
                 raise NetlistError(f"{kind.value} does not take a level")
-        return new_type
+        return new_type, by_net
 
     def connect_output(self, name: str, net: int) -> None:
         if name not in self._out_type:

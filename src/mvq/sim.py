@@ -16,7 +16,7 @@ right after `nl.truth_table()` gets the table's outputs without evaluating.
 Exports are byte deterministic for a fixed trace. Quaternary signals appear
 in VCD as 2-bit vectors under the natural encoding, binary signals as scalars.
 
-Row i of a trace is time i, in the VCD's `$timescale` unit. Every export
+Row i of a trace is time i ns, the VCD's `$timescale` unit. Every export
 writes its text into a bytes body of fixed-width rows, one strided slice per
 byte position of a column, and deletes the padding (_FILL) once. Time
 stamps are such columns too, one per decimal digit of the last time, each a
@@ -374,12 +374,10 @@ def _vcd_changes(trace: Trace, idents: list[str]) -> bytearray:
     return body
 
 
-def export_vcd(trace: Trace, timescale: str = "1 ns") -> str:
-    """Value-change dump: full dump at time 0, then change-only emission."""
-    out = [
-        f"$timescale {timescale} $end",
-        "$scope module top $end",
-    ]
+def export_vcd(trace: Trace) -> str:
+    """Value-change dump, one time step per nanosecond: full dump at time 0,
+    then change-only emission."""
+    out = ["$timescale 1 ns $end", "$scope module top $end"]
     idents = [_vcd_ident(idx) for idx in range(len(trace.signals))]
     for (name, sig), ident in zip(trace.signals, idents):
         width = 2 if sig is SignalType.QUAT else 1

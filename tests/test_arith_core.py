@@ -1,6 +1,7 @@
 """Reference-table oracles: published values, algebraic laws, the 2-bit encoding."""
 
 import itertools
+import pickle
 import subprocess
 import sys
 
@@ -179,6 +180,18 @@ def test_op_arity():
     for kind in OpKind:
         if kind not in (OpKind.MOD4_NEG, OpKind.MOD4_DOUBLE):
             assert kind.arity == 2
+
+
+def test_op_kinds_behave_as_plain_enum_values():
+    assert [kind.value for kind in OpKind] == [
+        "mod4-add", "mod4-sub", "mod4-mul", "mod4-neg", "mod4-dbl", "gf4-add", "gf4-mul"
+    ]
+    for kind in OpKind:
+        assert OpKind(kind.value) is kind
+        assert repr(kind) == f"<OpKind.{kind.name}: {kind.value!r}>"
+        assert pickle.loads(pickle.dumps(kind)) is kind
+    with pytest.raises(ValueError):
+        OpKind(2)
 
 
 def test_domain_errors():

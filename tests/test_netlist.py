@@ -51,6 +51,16 @@ def test_signal_type_levels():
     assert Q.levels == 4
 
 
+def test_signal_types_behave_as_plain_enum_values():
+    assert [(sig.value, sig.levels) for sig in SignalType] == [("bin", 2), ("quat", 4)]
+    for sig in SignalType:
+        assert SignalType(sig.value) is sig
+        assert repr(sig) == f"<SignalType.{sig.name}: {sig.value!r}>"
+        assert pickle.loads(pickle.dumps(sig)) is sig
+    with pytest.raises(ValueError):
+        SignalType(2)
+
+
 def test_duplicate_port_name_rejected():
     with pytest.raises(nl.DuplicatePortName):
         Netlist([("x", B), ("x", B)], [("y", B)])
@@ -254,6 +264,18 @@ def test_metrics_wire_only_netlist():
     assert m.gate_count == 0 and m.depth == 0 and m.transistor_estimate == 0
 
 
+def test_metrics_depth_counts_no_constant():
+    # a constant sits at depth 0, as an input port does; a gate adds one hop
+    n = Netlist([("a", B)], [("k", B), ("y", B)])
+    k = n.add_gate(GateKind.CONST0)
+    n.connect_output("k", k)
+    n.connect_output("y", k)
+    assert n.metrics().depth == 0
+    n.connect_output("y", n.add_gate(GateKind.AND2, [k, n.add_gate(GateKind.CONST1)]))
+    assert n.metrics().depth == 1
+    assert Netlist([("a", B)], []).metrics().depth == 0
+
+
 def test_metrics_missing_cost_entry():
     n = xor_pair()
     with pytest.raises(nl.MissingCostEntry):
@@ -280,6 +302,49 @@ def test_json_round_trip_equivalence():
     m = from_json(n.to_json())
     assert m.truth_table() == n.truth_table()
     assert m.metrics() == n.metrics()
+
+
+def test_to_json_text_is_pinned():
+    n = Netlist([("q", Q)], [("y", B), ("w", Q)])
+    n.connect_output("y", n.add_gate(GateKind.DLC1, [0]))
+    n.add_gate(GateKind.QCONST, level=2)
+    assert n.to_json() == """{
+  "inputs": [
+    {
+      "name": "q",
+      "type": "quat"
+    }
+  ],
+  "outputs": [
+    {
+      "name": "y",
+      "type": "bin",
+      "net": 1
+    },
+    {
+      "name": "w",
+      "type": "quat",
+      "net": null
+    }
+  ],
+  "gates": [
+    {
+      "id": 0,
+      "kind": "dlc1",
+      "inputs": [
+        0
+      ],
+      "output": 1
+    },
+    {
+      "id": 1,
+      "kind": "qconst",
+      "inputs": [],
+      "output": 2,
+      "level": 2
+    }
+  ]
+}"""
 
 
 def test_json_import_accepts_any_gate_order():

@@ -144,13 +144,14 @@ def test_add_gates_installs_nothing_on_error(gates, error):
     assert n.add_gate(GateKind.NOT, [1]) == 2
 
 
-# --- the column checks against the gate-by-gate scan
+# --- the sort by output net against Kahn's algorithm
 #
 # `from_json` reads a document's gates gate by gate (`_read_gates`) and
-# checks the batch one rule at a time over whole columns (`Netlist._fits`);
-# only a batch those checks refuse goes through the ordered scan
-# (`Netlist._scan`), which names the error. The two must refuse exactly the
-# same documents.
+# checks the batch once (`Netlist._scan`), which names any error and returns
+# the order flag: whether every gate reads only nets numbered below its own.
+# A batch with the flag set is sorted by output net, any other goes through
+# Kahn's algorithm (`_dependency_order`). Both must install the same netlist
+# from every document, faulty or not.
 
 KINDS = list(GateKind)
 
@@ -342,44 +343,27 @@ PORT_FAULTS = {
 }
 
 
-def _ports(doc, side):
-    return [(p["name"], SignalType(p["type"])) for p in doc[side]]
-
-
-def column_verdict(doc):
-    """What the column checks make of the document's gates: the batch's net
-    types, or None."""
-    try:
-        _, kinds, ins, outs, levels = nl._read_gates(doc["gates"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    checked = Netlist(_ports(doc, "inputs"), _ports(doc, "outputs"))._fits(kinds, ins, outs, levels)
-    return checked and checked[0]
-
-
-def scan_verdict(doc):
-    """column_verdict by the gate-by-gate scan."""
-    try:
-        _, kinds, ins, outs, levels = nl._read_gates(doc["gates"])
-        n = Netlist(_ports(doc, "inputs"), _ports(doc, "outputs"))
-        return n._scan(kinds, ins, outs, levels)
-    except (KeyError, TypeError, ValueError, nl.NetlistError):
-        return None
-
-
 def import_outcome(text):
+    """The error an import raises, or the netlist's text, table and metrics
+    once its dependency order is checked: each gate after the gates it reads."""
     try:
         n = from_json(text)
     except nl.NetlistError as exc:
         return type(exc).__name__, str(exc)
-    return "ok", n.to_json(), n.truth_table()
+    placed = set(range(len(n.input_ports)))
+    for g in n.topo_gates():
+        assert placed.issuperset(g.inputs)
+        placed.add(g.output)
+    assert len(placed) == len(n.input_ports) + len(n.gates)
+    return "ok", n.to_json(), n.truth_table(), n.metrics()
 
 
-def scanned_outcome(text, monkeypatch):
-    """import_outcome with the column checks refusing every batch, so every
-    batch goes through the ordered scan and Kahn's algorithm."""
+def kahn_outcome(text, monkeypatch):
+    """import_outcome with the scan's order flag forced false, so every
+    batch goes through Kahn's algorithm."""
+    scan = Netlist._scan
     with monkeypatch.context() as m:
-        m.setattr(Netlist, "_fits", lambda self, *columns: None)
+        m.setattr(Netlist, "_scan", lambda self, *columns: (scan(self, *columns)[0], False))
         return import_outcome(text)
 
 
@@ -420,28 +404,60 @@ FAULT_CLASSES = sorted(GATE_FAULTS) + sorted(PORT_FAULTS)
 
 
 @pytest.mark.parametrize("name", FAULT_CLASSES)
-def test_column_checks_refuse_exactly_what_the_scan_refuses(name, monkeypatch):
+def test_the_sort_installs_what_kahns_algorithm_installs(name, monkeypatch):
     for seed in range(12):
         for doc in faulty_documents(seed, _faults(name)):
-            assert column_verdict(doc) == scan_verdict(doc)
             text = json.dumps(doc)
-            assert import_outcome(text) == scanned_outcome(text, monkeypatch)
+            assert import_outcome(text) == kahn_outcome(text, monkeypatch)
 
 
 @pytest.mark.parametrize("permute", [False, True], ids=["sorted-nets", "permuted-nets"])
-def test_valid_documents_never_reach_the_scan(permute, monkeypatch):
-    # a later edit that made a column check refuse valid batches would send
-    # every import through the gate-by-gate scan, correct but slow
+def test_valid_documents_install_alike_by_sort_and_kahn(permute, monkeypatch):
     rng = random.Random(17)
-    docs = [random_document(rng, rng.randint(2, 300), permute) for _ in range(20)]
-    expected = [scanned_outcome(json.dumps(doc), monkeypatch) for doc in docs]
+    for _ in range(20):
+        text = json.dumps(random_document(rng, rng.randint(2, 300), permute))
+        want = import_outcome(text)
+        assert want[0] == "ok"
+        assert kahn_outcome(text, monkeypatch) == want
 
-    def refuse(*args):
-        raise AssertionError("the ordered scan ran on a valid document")
 
-    monkeypatch.setattr(Netlist, "_scan", refuse)
-    for doc, want in zip(docs, expected):
-        assert import_outcome(json.dumps(doc)) == want
+def test_documents_numbered_in_order_never_reach_kahns_algorithm(monkeypatch):
+    # a later edit that cleared the order flag on such a batch would send
+    # every import through Kahn's algorithm, correct but slow
+    rng = random.Random(17)
+    docs = [random_document(rng, rng.randint(2, 300)) for _ in range(20)]
+    shuffled = [random_document(rng, rng.randint(20, 300), permute=True) for _ in range(5)]
+    calls = []
+    kahn = nl._dependency_order
+    monkeypatch.setattr(nl, "_dependency_order", lambda *a: calls.append(1) or kahn(*a))
+    for doc in docs:
+        from_json(json.dumps(doc))
+    assert not calls
+    # nets renumbered at random put some gate past a net it reads
+    for doc in shuffled:
+        from_json(json.dumps(doc))
+    assert len(calls) == len(shuffled)
+
+
+@pytest.mark.parametrize("build", ["add_gate", "add_gates", "from_json"])
+def test_each_batch_is_scanned_once(build, monkeypatch):
+    calls = []
+    scan = Netlist._scan
+    monkeypatch.setattr(Netlist, "_scan", lambda self, *c: calls.append(len(c[0])) or scan(self, *c))
+    if build == "from_json":
+        from_json(json.dumps(random_document(random.Random(5), 40, permute=True)))
+        assert calls == [40]
+        return
+    n = Netlist([("a", B)], [("y", B)])
+    if build == "add_gate":
+        n.add_gate(GateKind.NOT, [0])
+        n.add_gate(GateKind.AND2, [0, 1])
+        assert calls == [1, 1]
+    else:
+        n.add_gates([Gate(GateKind.NOT, (3,), 2), Gate(GateKind.NOT, [0], 3)])
+        n.add_gates(Gate(GateKind.NOT, (k,), k + 1) for k in (3, 4))
+        n.add_gates([])
+        assert calls == [2, 2]
 
 
 # --- the gate reader against a reference that makes a call per field

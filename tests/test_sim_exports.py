@@ -43,8 +43,8 @@ def ref_vcd_value(sig, level, ident):
     return f"{level}{ident}"
 
 
-def ref_vcd(signals, rows, timescale="1 ns"):
-    out = [f"$timescale {timescale} $end", "$scope module top $end"]
+def ref_vcd(signals, rows):
+    out = ["$timescale 1 ns $end", "$scope module top $end"]
     idents = [_vcd_ident(idx) for idx in range(len(signals))]
     for (name, sig), ident in zip(signals, idents):
         out.append(f"$var wire {2 if sig is Q else 1} {ident} {name} $end")
