@@ -19,8 +19,10 @@ Every builder and `quat_view` returns a new netlist on each call, which the
 caller may change. The CLI, `verify`, `verify_all` and `circuit_metrics`
 instead read one netlist per circuit and per view, made on first use by
 `info.build()` or `quat_view` and kept for the process (`_shared`); none of
-them changes it or hands it out. `verify` keeps its `VerifyResult` the same
-way, and `circuit_metrics` its `Metrics` for the default costs (a cost
+them changes it or hands it out. Each kept netlist's truth table (`_table`)
+and the built circuit's sweep trace (`_trace`, `sim.run` over `sweep_all`)
+are kept the same way, and so are `verify`'s `VerifyResult`, read from the
+kept table, and `circuit_metrics`' `Metrics` for the default costs (a cost
 table's totals are computed on each call). The values kept for a circuit
 serve only while `REGISTRY` still holds the entry they came from (`is`):
 the next read after a replacement drops them, with the entry they came
@@ -30,10 +32,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
 
 from .arith_core import OpKind, apply_op, decode_b2q
-from .netlist import GateKind, Metrics, Netlist, SignalType
+from .netlist import GateKind, Metrics, Netlist, SignalType, TruthTable
+
+if TYPE_CHECKING:
+    from .sim import Trace
 
 _B = SignalType.BIN
 _Q = SignalType.QUAT
@@ -279,12 +284,11 @@ def _quat_terms(
     return terms
 
 
-def _verify_netlist(info: CircuitInfo, nl: Netlist) -> VerifyResult:
-    """Compare the netlist's truth table with the reference row by row, inputs
-    and outputs read in quaternary terms: an operation circuit against
+def _verify_table(info: CircuitInfo, tt: TruthTable) -> VerifyResult:
+    """Compare a truth table of the circuit with the reference row by row,
+    inputs and outputs read in quaternary terms: an operation circuit against
     apply_op, a converter against the identity."""
     ref = (lambda q: q) if info.op is None else functools.partial(apply_op, info.op)
-    tt = nl.truth_table()
     for ins, outs in tt.rows:
         args = _quat_terms(tt.inputs, ins)
         [(_, got)] = _quat_terms(tt.outputs, outs)
@@ -298,10 +302,11 @@ def _verify_netlist(info: CircuitInfo, nl: Netlist) -> VerifyResult:
 
 
 # the kept values: cid -> [the REGISTRY entry they came from, its netlist as
-# built, its quaternary view, its VerifyResult, its default-cost Metrics],
+# built, its quaternary view, its VerifyResult, its default-cost Metrics, the
+# truth tables of the netlist as built and of the view, its sweep Trace],
 # each None until first read
 _KEPT: dict[str, list] = {}
-_BUILT, _VIEW, _VERIFIED, _METRICS = 1, 2, 3, 4
+_BUILT, _VIEW, _VERIFIED, _METRICS, _TABLE, _VIEW_TABLE, _TRACE = range(1, 8)
 
 
 def _kept(cid: str, slot: int, make: Callable[[CircuitInfo], _T]) -> _T:
@@ -310,7 +315,7 @@ def _kept(cid: str, slot: int, make: Callable[[CircuitInfo], _T]) -> _T:
     info = get_info(cid)
     entry = _KEPT.get(cid)
     if entry is None or entry[0] is not info:
-        entry = _KEPT[cid] = [info, None, None, None, None]
+        entry = _KEPT[cid] = [info, None, None, None, None, None, None, None]
     if entry[slot] is None:
         entry[slot] = make(info)
     return entry[slot]
@@ -324,10 +329,30 @@ def _shared(cid: str, view: bool = False) -> Netlist:
     return _kept(cid, _BUILT, lambda info: info.build())
 
 
+def _table(cid: str, view: bool = False) -> TruthTable:
+    """The truth table of `_shared(cid, view)`, made once per REGISTRY entry."""
+    if view:
+        return _kept(cid, _VIEW_TABLE, lambda info: _shared(info.cid, True).truth_table())
+    return _kept(cid, _TABLE, lambda info: _shared(info.cid).truth_table())
+
+
+def _sweep(info: CircuitInfo) -> Trace:
+    from .sim import run, sweep_all
+
+    nl = _shared(info.cid)
+    return run(nl, sweep_all(nl))
+
+
+def _trace(cid: str) -> Trace:
+    """The exhaustive sweep trace of `_shared(cid)`, made once per REGISTRY
+    entry; `sim` loads on the first call."""
+    return _kept(cid, _TRACE, _sweep)
+
+
 def verify(cid: str) -> VerifyResult:
-    """Sweep the builder's netlist against its reference table, once per
-    REGISTRY entry."""
-    return _kept(cid, _VERIFIED, lambda info: _verify_netlist(info, _shared(info.cid)))
+    """Check the truth table of the builder's netlist against its reference,
+    once per REGISTRY entry."""
+    return _kept(cid, _VERIFIED, lambda info: _verify_table(info, _table(info.cid)))
 
 
 def verify_all() -> tuple[VerifyResult, ...]:

@@ -16,14 +16,15 @@ Start-up: `import mvq.cli` loads only what `table`, `verify`, `metrics` and
 `sim` (and a `voltage_map` config key) imports `sim`, and `json` loads where
 a document is read. `argparse` loads only for an argv that `main` leaves to
 it (below), when `main` first builds the parser, once per process; later
-calls reuse that parser. Nothing is built at import either: `table`, `sim`
-and `compare` read the process's one netlist per circuit and per quaternary
-view (`circuits._shared`), `verify` its one `VerifyResult` per circuit,
-`metrics` its one default-cost `Metrics` per circuit and `audit` its one
-set of rows, each made on first use and never changed. The module
-`__getattr__` still serves the names this module once imported from
-`minimizer` and `sim`, and `quat_view` stays imported, because
-`perfbench/spans.py` reads and patches them here.
+calls reuse that parser. Nothing is built or evaluated at import either:
+`table` and `compare` print from the process's one truth table per circuit
+and per quaternary view (`circuits._table`), `sim` renders its one sweep
+trace per circuit (`circuits._trace`), `verify` prints its one
+`VerifyResult` per circuit, `metrics` its one default-cost `Metrics` per
+circuit and `audit` its one set of rows, each made on first use and never
+changed. The module `__getattr__` still serves the names this module once
+imported from `minimizer` and `sim`, and `quat_view` stays imported,
+because `perfbench/spans.py` reads and patches them here.
 
 Parsing: `main` reads a plain command line itself (`_plain_args`): an exact
 subcommand name, then exactly its positional arguments, then its exact
@@ -50,7 +51,8 @@ from .circuits import (
     CIRCUIT_IDS,
     REGISTRY,
     CircuitInfo,
-    _shared,
+    _table,
+    _trace,
     circuit_metrics,
     get_info,
     quat_view,  # not called here: perfbench/spans.py reads and patches it
@@ -232,28 +234,30 @@ def _write_text(dest: str, text: str, out_dir: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
+# the grid `table` prints for a circuit of two quaternary inputs and one
+# output: the output's level for x (row) and y (column)
+_GRID = "\n".join(
+    ["x\\y | 0 1 2 3", "----+--------", *(f"{a:>3} | %d %d %d %d" for a in range(4))]
+)
+
+
 def cmd_table(args: Args, cfg: Config) -> int:
-    info = _resolve(args.circuit)
-    nl = _shared(info.cid, view=not args.bits)
-    tt = nl.truth_table()
+    tt = _table(_resolve(args.circuit).cid, view=not args.bits)
     two_quat_in = (
         len(tt.inputs) == 2
         and all(sig is SignalType.QUAT for _, sig in tt.inputs)
         and len(tt.outputs) == 1
     )
     if two_quat_in and not args.bits:
-        grid = {ins: outs[0] for ins, outs in tt.rows}
-        print("x\\y | 0 1 2 3")
-        print("----+--------")
-        for a in range(4):
-            cells = " ".join(str(grid[(a, b)]) for b in range(4))
-            print(f"{a:>3} | {cells}")
+        # row 4x + y of the output column, x the slower-varying input
+        print(_GRID % tuple(tt.columns[2]))
         return EXIT_OK
     headers = [name for name, _ in tt.inputs] + [name for name, _ in tt.outputs]
-    rows = [
-        [str(v) for v in ins + outs] for ins, outs in tt.rows
-    ]
-    print(_format_columns(headers, rows))
+    # _format_columns' layout: every cell is one digit, so each column is as
+    # wide as its header or 1, and no line ends in padding
+    header = " ".join(h or " " for h in headers).rstrip()
+    row = " ".join("%d" + " " * (len(h) - 1) for h in headers).rstrip()
+    print("\n".join([header, *(row % (ins + outs) for ins, outs in tt.rows)]))
     return EXIT_OK
 
 
@@ -349,10 +353,9 @@ def cmd_audit(args: Args, cfg: Config) -> int:
 
 
 def cmd_sim(args: Args, cfg: Config) -> int:
-    from .sim import export_csv, export_vcd, run, sweep_all, voltage_view
+    from .sim import export_csv, export_vcd, voltage_view
 
-    nl = _shared(_resolve(args.circuit).cid)
-    trace = run(nl, sweep_all(nl))
+    trace = _trace(_resolve(args.circuit).cid)
     csv_text = (
         voltage_view(trace, cfg.voltages) if args.volts else export_csv(trace)
     )
@@ -367,16 +370,15 @@ def cmd_sim(args: Args, cfg: Config) -> int:
 
 def cmd_compare(args: Args, cfg: Config) -> int:
     info_a, info_b = _resolve(args.a), _resolve(args.b)
-    va, vb = _shared(info_a.cid, view=True), _shared(info_b.cid, view=True)
-    if va.input_ports != vb.input_ports or va.output_ports != vb.output_ports:
+    ta, tb = _table(info_a.cid, view=True), _table(info_b.cid, view=True)
+    if ta.inputs != tb.inputs or ta.outputs != tb.outputs:
         raise CliError(
             f"port shapes differ: {info_a.cid} is "
-            f"{[n for n, _ in va.input_ports]} -> "
-            f"{[n for n, _ in va.output_ports]}, {info_b.cid} is "
-            f"{[n for n, _ in vb.input_ports]} -> "
-            f"{[n for n, _ in vb.output_ports]}"
+            f"{[n for n, _ in ta.inputs]} -> "
+            f"{[n for n, _ in ta.outputs]}, {info_b.cid} is "
+            f"{[n for n, _ in tb.inputs]} -> "
+            f"{[n for n, _ in tb.outputs]}"
         )
-    ta, tb = va.truth_table(), vb.truth_table()
     for (ins, outs_a), (_, outs_b) in zip(ta.rows, tb.rows):
         if outs_a != outs_b:
             where = " ".join(

@@ -527,9 +527,8 @@ class Netlist:
 
     def evaluate(self, assignment: Mapping[str, int]) -> dict[str, int]:
         self.validate()
-        names = {name for name, _ in self._inputs}
         for key in assignment:
-            if key not in names:
+            if key not in self._input_net:
                 raise UnknownPort(f"no input port {key!r}")
         columns = []
         for name, sig in self._inputs:

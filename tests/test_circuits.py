@@ -248,7 +248,7 @@ def test_verify_reports_counterexample():
     # a subtractor judged against the adder's table must fail
     info = REGISTRY["mod4-add"]
     wrong = REGISTRY["mod4-sub"].build()
-    res = circuits._verify_netlist(info, wrong)
+    res = circuits._verify_table(info, wrong.truth_table())
     assert not res.ok
     assert res.counterexample is not None
     assert "got" in res.counterexample and "want" in res.counterexample
@@ -263,7 +263,7 @@ def test_verify_catches_swapped_converter_outputs():
     mux = n.add_gate(GateKind.BMUX2, [d2, d1, d3])
     n.connect_output("x2", n.add_gate(GateKind.NOT, [d2]))  # swapped
     n.connect_output("x1", n.add_gate(GateKind.NOT, [mux]))
-    res = circuits._verify_netlist(REGISTRY["q2b"], n)
+    res = circuits._verify_table(REGISTRY["q2b"], n.truth_table())
     assert not res.ok
     assert res.counterexample == "q=1: got 2, want 1"  # q=1 leaves as 10
 
@@ -272,7 +272,7 @@ def test_verify_catches_swapped_b2q_inputs():
     # x=1 arrives as x1=0, x2=1 and leaves as 2
     n = Netlist([("x1", B), ("x2", B)], [("q", Q)])
     n.connect_output("q", n.add_gate(GateKind.B2Q, [n.input_net("x2"), n.input_net("x1")]))
-    res = circuits._verify_netlist(REGISTRY["b2q"], n)
+    res = circuits._verify_table(REGISTRY["b2q"], n.truth_table())
     assert res.counterexample == "x=1: got 2, want 1"
 
 
@@ -294,7 +294,7 @@ def test_every_circuit_survives_json_round_trip():
         original = info.build()
         restored = from_json(original.to_json())
         assert restored.truth_table() == original.truth_table(), cid
-        res = circuits._verify_netlist(info, restored)
+        res = circuits._verify_table(info, restored.truth_table())
         assert res.ok, cid
 
 

@@ -1,6 +1,6 @@
 """The values the CLI keeps per process: one netlist per catalog circuit and
-per quaternary view, one VerifyResult and one default-cost Metrics per
-circuit, one set of audit rows.
+per quaternary view, a truth table of each, one sweep trace, one
+VerifyResult and one default-cost Metrics per circuit, one set of audit rows.
 
 No command may change a kept netlist, the public builders must keep
 returning new ones, a cold call must print what a warm one prints, and a
@@ -17,7 +17,7 @@ import pytest
 from test_cli import AUDIT_STDOUT, PARSER_CORPUS, _fresh_import, _published_row, run_cli
 from test_readme import _m1_pla
 
-from mvq import circuits, minimizer
+from mvq import circuits, minimizer, sim
 from mvq.circuits import CIRCUIT_IDS, REGISTRY, circuit_metrics, quat_view, verify
 from mvq.cli import main
 from mvq.netlist import GateKind, Netlist, SignalType
@@ -127,6 +127,69 @@ def test_a_cold_call_prints_what_warm_calls_print(capsys, argv):
     cold = run_cli(capsys, *argv)
     assert run_cli(capsys, *argv) == cold
     assert run_cli(capsys, *argv) == cold
+
+
+def test_each_table_and_trace_is_evaluated_once(capsys, tmp_path, monkeypatch):
+    (tmp_path / "m1.pla").write_text(_m1_pla())
+    monkeypatch.chdir(tmp_path)
+    _forget_kept()
+    tabled, swept = [], []
+    truth_table, run = Netlist.truth_table, sim.run
+    monkeypatch.setattr(Netlist, "truth_table", lambda nl: tabled.append(nl) or truth_table(nl))
+    monkeypatch.setattr(sim, "run", lambda nl, stim: swept.append(nl) or run(nl, stim))
+    for argv in PARSER_CORPUS + FIXED + FIXED:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(_m1_pla()))
+        main(list(argv))
+        capsys.readouterr()
+    kept = [circuits._shared(*key) for key in SHARED]
+    assert sorted(map(id, tabled)) == sorted(map(id, kept))
+    assert sorted(map(id, swept)) == sorted(id(circuits._shared(cid)) for cid in CIRCUIT_IDS)
+    for cid, view in SHARED:
+        assert circuits._table(cid, view) is circuits._table(cid, view)
+        assert circuits._table(cid, view) == _fresh(cid, view).truth_table()
+    assert circuits._trace("mod4-add") is circuits._trace("mod4-add")
+
+
+def _mod4_mul_view():
+    return quat_view("mod4-mul")
+
+
+def test_a_replaced_entry_drops_its_tables_and_trace(capsys, monkeypatch):
+    argvs = [
+        ["table", "gf4-mul-mux"], ["table", "gf4-mul-mux", "--bits"], ["sim", "gf4-mul-mux"],
+        ["sim", "gf4-mul-mux", "--vcd", "-"], ["compare", "gf4-mul-sop", "gf4-mul-mux"],
+        ["compare", "mod4-mul", "gf4-mul-mux"],
+    ]
+    original = [run_cli(capsys, *argv) for argv in argvs]
+    mul = quat_view("mod4-mul")
+    trace = sim.run(mul, sim.sweep_all(mul))
+    replaced = dataclasses.replace(REGISTRY["gf4-mul-mux"], build=_mod4_mul_view)
+    monkeypatch.setitem(REGISTRY, "gf4-mul-mux", replaced)
+    got = [run_cli(capsys, *argv) for argv in argvs]
+    assert got == [
+        run_cli(capsys, "table", "mod4-mul"),
+        (0, "\n".join(["x y q", *(" ".join(map(str, row)) for row in trace.rows)]) + "\n", ""),
+        (0, sim.export_csv(trace), ""),
+        (0, sim.export_vcd(trace), ""),
+        (1, "DIFFER at x=2 y=2: 3 vs 0\n", ""),
+        (0, "EQUAL (16 vectors)\n", ""),
+    ]
+    assert all(new != old for new, old in zip(got, original))
+    monkeypatch.undo()
+    assert [run_cli(capsys, *argv) for argv in argvs] == original
+
+
+def test_table_and_compare_load_no_sim():
+    run = "import io, sys, mvq.cli; sys.stdout = io.StringIO(); "
+    run += "assert mvq.cli.main(['table', 'mod4-add']) == 0; "
+    run += "assert mvq.cli.main(['table', 'mod4-add', '--bits']) == 0; "
+    run += "assert mvq.cli.main(['compare', 'gf4-mul-sop', 'gf4-mul-mux']) == 0; "
+    run += "assert mvq.cli.main(['verify', 'all']) == 0; sys.stdout = sys.__stdout__"
+    loaded = _fresh_import(run)
+    assert "mvq.circuits" in loaded
+    assert not loaded & {"mvq.sim", "mvq.minimizer"}
+    assert "mvq.sim" in _fresh_import("import io, sys, mvq.cli; sys.stdout = io.StringIO(); "
+                                      "mvq.cli.main(['sim', 'q2b']); sys.stdout = sys.__stdout__")
 
 
 def test_import_builds_nothing():
