@@ -20,13 +20,14 @@ caller may change. The CLI, `verify`, `verify_all` and `circuit_metrics`
 instead read one netlist per circuit and per view, made on first use by
 `info.build()` or `quat_view` and kept for the process (`_shared`); none of
 them changes it or hands it out. Each kept netlist's truth table (`_table`)
-and the built circuit's sweep trace (`_trace`, `sim.run` over `sweep_all`)
-are kept the same way, and so are `verify`'s `VerifyResult`, read from the
-kept table, and `circuit_metrics`' `Metrics` for the default costs (a cost
-table's totals are computed on each call). The values kept for a circuit
-serve only while `REGISTRY` still holds the entry they came from (`is`):
-the next read after a replacement drops them, with the entry they came
-from, and makes them anew."""
+and the CSV, default-voltage CSV and VCD texts of the built circuit's sweep
+(`_sim_texts`, rendered from one `sim.run` over `sweep_all`) are kept the
+same way, and so are `verify`'s `VerifyResult`, read from the kept table,
+and `circuit_metrics`' `Metrics` for the default costs (a cost table's
+totals, like a voltage map's texts, are computed on each call). The values
+kept for a circuit serve only while `REGISTRY` still holds the entry they
+came from (`is`): the next read after a replacement drops them, with the
+entry they came from, and makes them anew."""
 
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .arith_core import OpKind, apply_op, decode_b2q
 from .netlist import GateKind, Metrics, Netlist, SignalType, TruthTable
 
 if TYPE_CHECKING:
-    from .sim import Trace
+    from .sim import VoltageMap
 
 _B = SignalType.BIN
 _Q = SignalType.QUAT
@@ -303,10 +304,10 @@ def _verify_table(info: CircuitInfo, tt: TruthTable) -> VerifyResult:
 
 # the kept values: cid -> [the REGISTRY entry they came from, its netlist as
 # built, its quaternary view, its VerifyResult, its default-cost Metrics, the
-# truth tables of the netlist as built and of the view, its sweep Trace],
+# truth tables of the netlist as built and of the view, its sweep texts],
 # each None until first read
 _KEPT: dict[str, list] = {}
-_BUILT, _VIEW, _VERIFIED, _METRICS, _TABLE, _VIEW_TABLE, _TRACE = range(1, 8)
+_BUILT, _VIEW, _VERIFIED, _METRICS, _TABLE, _VIEW_TABLE, _TEXTS = range(1, 8)
 
 
 def _kept(cid: str, slot: int, make: Callable[[CircuitInfo], _T]) -> _T:
@@ -336,17 +337,21 @@ def _table(cid: str, view: bool = False) -> TruthTable:
     return _kept(cid, _TABLE, lambda info: _shared(info.cid).truth_table())
 
 
-def _sweep(info: CircuitInfo) -> Trace:
-    from .sim import run, sweep_all
+def _sim_texts(cid: str, vmap: VoltageMap | None = None) -> tuple[str, str, str]:
+    """The CSV, voltage CSV and VCD texts of the exhaustive sweep of
+    `_shared(cid)`; for the default voltages, once per REGISTRY entry. `sim`
+    loads on the first call."""
+    if vmap is None:
+        return _kept(cid, _TEXTS, lambda info: _render(info.cid, None))
+    return _render(cid, vmap)
 
-    nl = _shared(info.cid)
-    return run(nl, sweep_all(nl))
 
+def _render(cid: str, vmap: VoltageMap | None) -> tuple[str, str, str]:
+    from . import sim  # its names read per call, so a patched one is the one that runs
 
-def _trace(cid: str) -> Trace:
-    """The exhaustive sweep trace of `_shared(cid)`, made once per REGISTRY
-    entry; `sim` loads on the first call."""
-    return _kept(cid, _TRACE, _sweep)
+    nl = _shared(cid)
+    trace = sim.run(nl, sim.sweep_all(nl))
+    return sim.export_csv(trace), sim.voltage_view(trace, vmap), sim.export_vcd(trace)
 
 
 def verify(cid: str) -> VerifyResult:

@@ -18,8 +18,9 @@ a document is read. `argparse` loads only for an argv that `main` leaves to
 it (below), when `main` first builds the parser, once per process; later
 calls reuse that parser. Nothing is built or evaluated at import either:
 `table` and `compare` print from the process's one truth table per circuit
-and per quaternary view (`circuits._table`), `sim` renders its one sweep
-trace per circuit (`circuits._trace`), `verify` prints its one
+and per quaternary view (`circuits._table`), `sim` writes its one CSV,
+voltage CSV and VCD text per circuit (`circuits._sim_texts`; a
+`voltage_map` config renders them anew), `verify` prints its one
 `VerifyResult` per circuit, `metrics` its one default-cost `Metrics` per
 circuit and `audit` its one set of rows, each made on first use and never
 changed. The module `__getattr__` still serves the names this module once
@@ -51,8 +52,8 @@ from .circuits import (
     CIRCUIT_IDS,
     REGISTRY,
     CircuitInfo,
+    _sim_texts,
     _table,
-    _trace,
     circuit_metrics,
     get_info,
     quat_view,  # not called here: perfbench/spans.py reads and patches it
@@ -353,18 +354,14 @@ def cmd_audit(args: Args, cfg: Config) -> int:
 
 
 def cmd_sim(args: Args, cfg: Config) -> int:
-    from .sim import export_csv, export_vcd, voltage_view
-
-    trace = _trace(_resolve(args.circuit).cid)
-    csv_text = (
-        voltage_view(trace, cfg.voltages) if args.volts else export_csv(trace)
-    )
+    levels, volts, vcd_text = _sim_texts(_resolve(args.circuit).cid, cfg.voltages)
+    csv_text = volts if args.volts else levels
     if args.csv is None and args.vcd is None:
         sys.stdout.write(csv_text)
     if args.csv is not None:
         _write_text(args.csv, csv_text, cfg.out_dir)
     if args.vcd is not None:
-        _write_text(args.vcd, export_vcd(trace), cfg.out_dir)
+        _write_text(args.vcd, vcd_text, cfg.out_dir)
     return EXIT_OK
 
 

@@ -569,6 +569,11 @@ def parse_pla(text: str) -> TruthTableSpec:
                 if len(set(names)) != len(names):
                     dup = next(nm for nm in names if names.count(nm) > 1)
                     raise ParseError(f"line {lineno}: duplicate .ilb name {dup!r}")
+                odd = [nm for nm in names if nm in ("0", "1") or set("'^+()") & set(nm)]
+                if odd:  # '0', '1' and these marks are syntax in a printed expression
+                    raise ParseError(
+                        f"line {lineno}: .ilb name {odd[0]!r} reads as expression syntax"
+                    )
             elif directive == ".ob":
                 pass  # single output; name is cosmetic
             elif directive == ".p":

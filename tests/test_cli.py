@@ -288,6 +288,14 @@ def test_minimize_duplicate_ilb_names(capsys, tmp_path):
     assert "duplicate .ilb name 'a'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--xor"]])
+def test_minimize_refuses_a_name_that_reads_as_syntax(capsys, tmp_path, flags):
+    pla = tmp_path / "prime.pla"
+    pla.write_text(".i 2\n.o 1\n.ilb a' b\n11 1\n.e\n")
+    code, out, err = run_cli(capsys, "minimize", str(pla), *flags)
+    assert (code, out, err) == (2, "", "line 3: .ilb name \"a'\" reads as expression syntax\n")
+
+
 def test_minimize_multi_output_rejected(capsys, tmp_path):
     pla = tmp_path / "multi.pla"
     pla.write_text(".i 2\n.o 2\n11 10\n.e\n")

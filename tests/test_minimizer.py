@@ -415,6 +415,22 @@ def test_parse_pla_errors():
         parse_pla(".i 1\n.o \u0661\n1 1\n.e\n")
 
 
+@pytest.mark.parametrize("name", ["a'", "a^b", "+", "(a", "b)", "0", "1", "x'1"])
+def test_parse_pla_refuses_a_name_that_reads_as_expression_syntax(name):
+    # `.ilb a' b` would print the row 11 as "a' b", which reads as "not a, and b"
+    for names in (f"{name} b", f"b {name}"):
+        message = f"line 3: .ilb name {name!r} reads as expression syntax"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_pla(f".i 2\n.o 1\n.ilb {names}\n11 1\n.e\n")
+
+
+def test_parse_pla_keeps_names_of_letters_digits_and_other_marks():
+    for names in (("a0", "b1"), ("x_1", "y.2"), ("a-", "b*")):
+        spec = parse_pla(f".i 2\n.o 1\n.ilb {' '.join(names)}\n11 1\n.e\n")
+        assert spec.names == names
+        assert render_sop(minimize_exact(spec), spec.names) == " ".join(names)
+
+
 def test_parse_pla_widest_table():
     spec = parse_pla(".i 8\n.o 1\n11111111 1\n0------- -\n.e\n")
     assert (spec.on, spec.dc) == (1 << 255, (1 << 128) - 1)

@@ -47,6 +47,7 @@ def test_gate_nets_numbered_in_any_order_keep_the_table(n, rng):
     rng.shuffle(doc["gates"])
     back = from_json(json.dumps(doc))
     assert back.truth_table() == n.truth_table()
+    assert back.metrics() == n.metrics()
     place = {g.output: k for k, g in enumerate(back.topo_gates())}
     assert len(place) == len(back.gates)
     assert all(place[i] < place[g.output] for g in back.gates for i in g.inputs if i in place)

@@ -1,6 +1,6 @@
 """Differential tests of what `table`, `compare` and `sim` print.
 
-The commands print from the truth tables and sweep traces the process keeps
+The commands print from the truth tables and sweep texts the process keeps
 per circuit. Each output here is checked against a reference made the plain
 way on a netlist built for the test alone: `_format_columns` (or the grid
 loop) over `truth_table().rows`, a row walk over two views, and the exports

@@ -1,6 +1,7 @@
 """The values the CLI keeps per process: one netlist per catalog circuit and
-per quaternary view, a truth table of each, one sweep trace, one
-VerifyResult and one default-cost Metrics per circuit, one set of audit rows.
+per quaternary view, a truth table of each, the CSV, default-voltage CSV and
+VCD texts of one sweep, one VerifyResult and one default-cost Metrics per
+circuit, one set of audit rows. A voltage map's texts are rendered per call.
 
 No command may change a kept netlist, the public builders must keep
 returning new ones, a cold call must print what a warm one prints, and a
@@ -133,10 +134,22 @@ def test_each_table_and_trace_is_evaluated_once(capsys, tmp_path, monkeypatch):
     (tmp_path / "m1.pla").write_text(_m1_pla())
     monkeypatch.chdir(tmp_path)
     _forget_kept()
-    tabled, swept = [], []
+    tabled, swept, traces = [], [], []
     truth_table, run = Netlist.truth_table, sim.run
     monkeypatch.setattr(Netlist, "truth_table", lambda nl: tabled.append(nl) or truth_table(nl))
-    monkeypatch.setattr(sim, "run", lambda nl, stim: swept.append(nl) or run(nl, stim))
+
+    def sweep(nl, stim):
+        swept.append(nl)
+        traces.append(run(nl, stim))
+        return traces[-1]
+
+    monkeypatch.setattr(sim, "run", sweep)
+    rendered = {name: [] for name in ("export_csv", "voltage_view", "export_vcd")}
+    for name, calls in rendered.items():
+        export = getattr(sim, name)
+        monkeypatch.setattr(
+            sim, name, lambda *args, calls=calls, export=export: calls.append(args) or export(*args)
+        )
     for argv in PARSER_CORPUS + FIXED + FIXED:
         monkeypatch.setattr(sys, "stdin", io.StringIO(_m1_pla()))
         main(list(argv))
@@ -147,7 +160,11 @@ def test_each_table_and_trace_is_evaluated_once(capsys, tmp_path, monkeypatch):
     for cid, view in SHARED:
         assert circuits._table(cid, view) is circuits._table(cid, view)
         assert circuits._table(cid, view) == _fresh(cid, view).truth_table()
-    assert circuits._trace("mod4-add") is circuits._trace("mod4-add")
+    # each export renders each circuit's one trace once, voltages by default
+    for name, calls in rendered.items():
+        assert sorted(id(args[0]) for args in calls) == sorted(map(id, traces)), name
+        assert all(args[1:] in ((), (None,)) for args in calls), name
+    assert circuits._sim_texts("mod4-add") is circuits._sim_texts("mod4-add")
 
 
 def _mod4_mul_view():
@@ -157,7 +174,8 @@ def _mod4_mul_view():
 def test_a_replaced_entry_drops_its_tables_and_trace(capsys, monkeypatch):
     argvs = [
         ["table", "gf4-mul-mux"], ["table", "gf4-mul-mux", "--bits"], ["sim", "gf4-mul-mux"],
-        ["sim", "gf4-mul-mux", "--vcd", "-"], ["compare", "gf4-mul-sop", "gf4-mul-mux"],
+        ["sim", "gf4-mul-mux", "--vcd", "-"], ["sim", "gf4-mul-mux", "--volts"],
+        ["compare", "gf4-mul-sop", "gf4-mul-mux"],
         ["compare", "mod4-mul", "gf4-mul-mux"],
     ]
     original = [run_cli(capsys, *argv) for argv in argvs]
@@ -171,12 +189,30 @@ def test_a_replaced_entry_drops_its_tables_and_trace(capsys, monkeypatch):
         (0, "\n".join(["x y q", *(" ".join(map(str, row)) for row in trace.rows)]) + "\n", ""),
         (0, sim.export_csv(trace), ""),
         (0, sim.export_vcd(trace), ""),
+        (0, sim.voltage_view(trace), ""),
         (1, "DIFFER at x=2 y=2: 3 vs 0\n", ""),
         (0, "EQUAL (16 vectors)\n", ""),
     ]
     assert all(new != old for new, old in zip(got, original))
     monkeypatch.undo()
     assert [run_cli(capsys, *argv) for argv in argvs] == original
+
+
+def test_a_voltage_map_renders_its_own_texts_and_keeps_none(capsys, tmp_path):
+    (tmp_path / "v.json").write_text('{"quat": [0, 0.5, 1, 1.5], "bin": [-1, 1]}')
+    (tmp_path / "v.cfg").write_text(f"voltage_map={tmp_path / 'v.json'}\n")
+    default = run_cli(capsys, "sim", "mod4-add", "--volts")
+    kept = circuits._sim_texts("mod4-add")
+    custom = run_cli(capsys, "sim", "mod4-add", "--volts", "--config", str(tmp_path / "v.cfg"))
+    assert custom[1].splitlines()[:3] == [
+        "time,x1,x2,y1,y2,a1,a2", "0,-1.0,-1.0,-1.0,-1.0,-1.0,-1.0", "1,-1.0,-1.0,-1.0,1.0,-1.0,1.0",
+    ]
+    assert default[1].splitlines()[2] == "1,0.0,0.0,0.0,3.3,0.0,3.3"
+    assert run_cli(capsys, "sim", "mod4-add", "--volts") == default
+    assert circuits._sim_texts("mod4-add") is kept
+    mux = run_cli(capsys, "sim", "gf4-mul-mux", "--volts", "--config", str(tmp_path / "v.cfg"))
+    assert mux[1].splitlines()[-1] == "15,1.5,1.5,1.0"
+    assert run_cli(capsys, "sim", "gf4-mul-mux", "--volts")[1].splitlines()[-1] == "15,3.3,3.3,2.2"
 
 
 def test_table_and_compare_load_no_sim():
