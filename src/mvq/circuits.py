@@ -16,18 +16,18 @@ operand feeding the core and a b2q gate combining its outputs, as in the
 paper's Q->B, binary core, B->Q composition.
 
 Every builder and `quat_view` returns a new netlist on each call, which the
-caller may change. The CLI, `verify`, `verify_all` and `circuit_metrics`
-instead read one netlist per circuit and per view, made on first use by
-`info.build()` or `quat_view` and kept for the process (`_shared`); none of
-them changes it or hands it out. Each kept netlist's truth table (`_table`)
-and the CSV, default-voltage CSV and VCD texts of the built circuit's sweep
-(`_sim_texts`, rendered from one `sim.run` over `sweep_all`) are kept the
-same way, and so are `verify`'s `VerifyResult`, read from the kept table,
-and `circuit_metrics`' `Metrics` for the default costs (a cost table's
-totals, like a voltage map's texts, are computed on each call). The values
-kept for a circuit serve only while `REGISTRY` still holds the entry they
-came from (`is`): the next read after a replacement drops them, with the
-entry they came from, and makes them anew."""
+caller may change. No netlist is kept: the CLI, `verify`, `verify_all` and
+`circuit_metrics` read immutable values kept per circuit (`_kept`), each made
+on first use from a netlist built for it and then dropped. They are the
+truth tables of the circuit as built and of its quaternary view (`_table`),
+the CSV, default-voltage CSV and VCD texts of the built circuit's sweep
+(`_sim_texts`, rendered from one `sim.run` over `sweep_all`), `verify`'s
+`VerifyResult`, read from the kept table, `circuit_metrics`' `Metrics` for
+the default costs, and the texts `table` prints. A cost table's totals, like
+a voltage map's texts, are computed on each call. The values kept for a
+circuit serve only while `REGISTRY` still holds the entry they came from
+(`is`): the next read after a replacement drops them, with the entry they
+came from, and makes them anew."""
 
 from __future__ import annotations
 
@@ -302,54 +302,43 @@ def _verify_table(info: CircuitInfo, tt: TruthTable) -> VerifyResult:
     return VerifyResult(info.cid, True, len(tt.rows))
 
 
-# the kept values: cid -> [the REGISTRY entry they came from, its netlist as
-# built, its quaternary view, its VerifyResult, its default-cost Metrics, the
-# truth tables of the netlist as built and of the view, its sweep texts],
-# each None until first read
-_KEPT: dict[str, list] = {}
-_BUILT, _VIEW, _VERIFIED, _METRICS, _TABLE, _VIEW_TABLE, _TEXTS = range(1, 8)
+# the values kept per catalog circuit: cid -> (the REGISTRY entry they came
+# from, key -> value), each value immutable and made on first read
+_KEPT: dict[str, tuple[CircuitInfo, dict]] = {}
 
 
-def _kept(cid: str, slot: int, make: Callable[[CircuitInfo], _T]) -> _T:
-    """The circuit's value in slot, made from its REGISTRY entry on first
+def _kept(cid: str, key: object, make: Callable[[CircuitInfo], _T]) -> _T:
+    """The circuit's value under key, made from its REGISTRY entry on first
     read. A replaced entry drops every value kept from the one before it."""
     info = get_info(cid)
-    entry = _KEPT.get(cid)
-    if entry is None or entry[0] is not info:
-        entry = _KEPT[cid] = [info, None, None, None, None, None, None, None]
-    if entry[slot] is None:
-        entry[slot] = make(info)
-    return entry[slot]
-
-
-def _shared(cid: str, view: bool = False) -> Netlist:
-    """The process's one netlist for the circuit as built or, with view, for
-    its quaternary view. Its readers must not change it or hand it out."""
-    if view:
-        return _kept(cid, _VIEW, lambda info: quat_view(info.cid))
-    return _kept(cid, _BUILT, lambda info: info.build())
+    if cid not in _KEPT or _KEPT[cid][0] is not info:
+        _KEPT[cid] = (info, {})
+    values = _KEPT[cid][1]
+    if key not in values:
+        values[key] = make(info)
+    return values[key]
 
 
 def _table(cid: str, view: bool = False) -> TruthTable:
-    """The truth table of `_shared(cid, view)`, made once per REGISTRY entry."""
-    if view:
-        return _kept(cid, _VIEW_TABLE, lambda info: _shared(info.cid, True).truth_table())
-    return _kept(cid, _TABLE, lambda info: _shared(info.cid).truth_table())
+    """The truth table of the circuit as built or, with view, of its
+    quaternary view, made once per REGISTRY entry."""
+    return _kept(cid, ("table", view),
+                 lambda info: (quat_view(info.cid) if view else info.build()).truth_table())
 
 
 def _sim_texts(cid: str, vmap: VoltageMap | None = None) -> tuple[str, str, str]:
-    """The CSV, voltage CSV and VCD texts of the exhaustive sweep of
-    `_shared(cid)`; for the default voltages, once per REGISTRY entry. `sim`
-    loads on the first call."""
+    """The CSV, voltage CSV and VCD texts of the exhaustive sweep of the
+    circuit as built; for the default voltages, once per REGISTRY entry.
+    `sim` loads on the first call."""
     if vmap is None:
-        return _kept(cid, _TEXTS, lambda info: _render(info.cid, None))
-    return _render(cid, vmap)
+        return _kept(cid, "sim", lambda info: _render(info, None))
+    return _render(get_info(cid), vmap)
 
 
-def _render(cid: str, vmap: VoltageMap | None) -> tuple[str, str, str]:
+def _render(info: CircuitInfo, vmap: VoltageMap | None) -> tuple[str, str, str]:
     from . import sim  # its names read per call, so a patched one is the one that runs
 
-    nl = _shared(cid)
+    nl = info.build()
     trace = sim.run(nl, sim.sweep_all(nl))
     return sim.export_csv(trace), sim.voltage_view(trace, vmap), sim.export_vcd(trace)
 
@@ -357,7 +346,7 @@ def _render(cid: str, vmap: VoltageMap | None) -> tuple[str, str, str]:
 def verify(cid: str) -> VerifyResult:
     """Check the truth table of the builder's netlist against its reference,
     once per REGISTRY entry."""
-    return _kept(cid, _VERIFIED, lambda info: _verify_table(info, _table(info.cid)))
+    return _kept(cid, "verify", lambda info: _verify_table(info, _table(info.cid)))
 
 
 def verify_all() -> tuple[VerifyResult, ...]:
@@ -383,15 +372,15 @@ def circuit_metrics(cid: str, costs=None) -> Metrics:
     """Metrics for the circuit as built, with published totals attached; for
     the default costs, once per REGISTRY entry."""
     if costs is None:
-        return _kept(cid, _METRICS, lambda info: _metrics(info.cid, None))
-    return _metrics(cid, costs)
+        return _kept(cid, "metrics", lambda info: _metrics(info, None))
+    return _metrics(get_info(cid), costs)
 
 
-def _metrics(cid: str, costs) -> Metrics:
-    m = _shared(cid).metrics(costs)
-    if cid in PUBLISHED_TRANSISTORS:
+def _metrics(info: CircuitInfo, costs) -> Metrics:
+    m = info.build().metrics(costs)
+    if info.cid in PUBLISHED_TRANSISTORS:
         m = m._replace(
-            published_transistors=PUBLISHED_TRANSISTORS[cid],
+            published_transistors=PUBLISHED_TRANSISTORS[info.cid],
             published_note=PUBLISHED_NOTE,
         )
     return m

@@ -16,15 +16,15 @@ Start-up: `import mvq.cli` loads only what `table`, `verify`, `metrics` and
 `sim` (and a `voltage_map` config key) imports `sim`, and `json` loads where
 a document is read. `argparse` loads only for an argv that `main` leaves to
 it (below), when `main` first builds the parser, once per process; later
-calls reuse that parser. Nothing is built or evaluated at import either:
-`table` and `compare` print from the process's one truth table per circuit
-and per quaternary view (`circuits._table`), `sim` writes its one CSV,
-voltage CSV and VCD text per circuit (`circuits._sim_texts`; a
-`voltage_map` config renders them anew), `verify` prints its one
-`VerifyResult` per circuit, `metrics` its one default-cost `Metrics` per
-circuit and `audit` its one set of rows, each made on first use and never
-changed. The module `__getattr__` still serves the names this module once
-imported from `minimizer` and `sim`, and `quat_view` stays imported,
+calls reuse that parser. Nothing is built or evaluated at import either,
+and no netlist is kept. Each command prints values made on first use and
+never changed: `table` its one text per circuit and per --bits (`_GRID` or
+`_format_columns` over `circuits._table`, which `compare` reads too), `sim`
+its one CSV, voltage CSV and VCD text per circuit (`circuits._sim_texts`; a
+`voltage_map` config renders them anew), `verify` its one `VerifyResult`,
+`metrics` its one default-cost `Metrics` per circuit and `audit` its one
+set of rows. The module `__getattr__` still serves the names this module
+once imported from `minimizer` and `sim`, and `quat_view` stays imported,
 because `perfbench/spans.py` reads and patches them here.
 
 Parsing: `main` reads a plain command line itself (`_plain_args`): an exact
@@ -52,6 +52,7 @@ from .circuits import (
     CIRCUIT_IDS,
     REGISTRY,
     CircuitInfo,
+    _kept,
     _sim_texts,
     _table,
     circuit_metrics,
@@ -243,23 +244,20 @@ _GRID = "\n".join(
 
 
 def cmd_table(args: Args, cfg: Config) -> int:
-    tt = _table(_resolve(args.circuit).cid, view=not args.bits)
-    two_quat_in = (
-        len(tt.inputs) == 2
-        and all(sig is SignalType.QUAT for _, sig in tt.inputs)
-        and len(tt.outputs) == 1
-    )
-    if two_quat_in and not args.bits:
-        # row 4x + y of the output column, x the slower-varying input
-        print(_GRID % tuple(tt.columns[2]))
-        return EXIT_OK
-    headers = [name for name, _ in tt.inputs] + [name for name, _ in tt.outputs]
-    # _format_columns' layout: every cell is one digit, so each column is as
-    # wide as its header or 1, and no line ends in padding
-    header = " ".join(h or " " for h in headers).rstrip()
-    row = " ".join("%d" + " " * (len(h) - 1) for h in headers).rstrip()
-    print("\n".join([header, *(row % (ins + outs) for ins, outs in tt.rows)]))
+    cid, bits = _resolve(args.circuit).cid, args.bits
+    print(_kept(cid, ("table text", bits), lambda info: _table_text(info.cid, bits)))
     return EXIT_OK
+
+
+def _table_text(cid: str, bits: bool) -> str:
+    """What `table` prints: the grid for a view of two quaternary inputs and
+    one output, else the columns of the truth table's rows."""
+    tt = _table(cid, view=not bits)
+    if not bits and len(tt.outputs) == 1 and [s for _, s in tt.inputs] == [SignalType.QUAT] * 2:
+        # row 4x + y of the output column, x the slower-varying input
+        return _GRID % tuple(tt.columns[2])
+    headers = [name for name, _ in tt.inputs + tt.outputs]
+    return _format_columns(headers, [[str(v) for v in ins + outs] for ins, outs in tt.rows])
 
 
 def cmd_verify(args: Args, cfg: Config) -> int:

@@ -268,6 +268,13 @@ def _level_column(values: Iterable[int], sig: SignalType, what: str) -> bytes:
     raise LevelOutOfRange(f"{what}: {bad!r} is not a {sig.value} level")
 
 
+def _check_port_name(name: str, error: type[Exception]) -> None:
+    """Raise error for a name that a CSV header or a VCD $var line cannot carry
+    and read back: one with a ',', a space or a character not isprintable."""
+    if "," in name or " " in name or not name.isprintable():
+        raise error(f"port name {name!r} has a ',', a space or an unprintable character")
+
+
 _QCONST = GateKind.QCONST  # a module name: reading a member off GateKind is slow
 
 
@@ -329,6 +336,7 @@ class Netlist:
         for name, _ in self._inputs + self._outputs:
             if name in seen:
                 raise DuplicatePortName(name)
+            _check_port_name(name, NetlistError)
             seen.add(name)
         self._net_type: dict[int, SignalType] = {}
         self._input_net: dict[str, int] = {}

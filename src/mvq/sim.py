@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Sequence
 
-from .netlist import Netlist, NetlistError, SignalType, _level_column
+from .netlist import Netlist, NetlistError, SignalType, _check_port_name, _level_column
 
 
 class PortMismatch(NetlistError):
@@ -111,6 +111,8 @@ class Trace:
         self, signals: Iterable[tuple[str, SignalType]], rows: Iterable[Sequence[int]]
     ) -> None:
         signals, rows = tuple(signals), tuple(rows)
+        for name, _ in signals:
+            _check_port_name(name, ValueError)
         if any(len(row) != len(signals) for row in rows):
             raise ValueError("trace rows must cover every signal")
         columns = zip(*rows) if rows else [()] * len(signals)

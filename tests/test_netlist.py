@@ -68,6 +68,18 @@ def test_duplicate_port_name_rejected():
         Netlist([("x", B)], [("x", B)])
 
 
+@pytest.mark.parametrize("name", ["a,b", "c d", "y\nz", "\t", "x\x00", "\u2028"])
+def test_a_port_name_a_trace_cannot_carry_is_rejected(name):
+    for ports in (([(name, B)], [("y", B)]), ([("x", B)], [(name, B)])):
+        with pytest.raises(nl.NetlistError, match="has a ',', a space or an unprintable"):
+            Netlist(*ports)
+
+
+def test_other_port_names_are_kept():
+    n = Netlist([("", B), ("x[0]", B), ("é.b", Q)], [("~y", B)])
+    assert [name for name, _ in n.input_ports] == ["", "x[0]", "é.b"]
+
+
 def test_constant_only_shell_is_legal():
     n = Netlist([], [("k", Q)])
     n.connect_output("k", n.add_gate(GateKind.QCONST, level=3))

@@ -93,6 +93,10 @@ DOCUMENTS = [
      "malformed netlist document: 'net'"),
     # the Netlist constructor
     ("port-twice", doc([NOT_A], outputs=[("a", "bin", 2)]), "DuplicatePortName", "a"),
+    ("port-name-comma", doc([NOT_A], outputs=[("y,z", "bin", 2)]), "NetlistError",
+     "port name 'y,z' has a ',', a space or an unprintable character"),
+    ("port-name-newline", doc([NOT_A], inputs=[{"name": "a\nb", "type": "bin"}]),
+     "NetlistError", "port name 'a\\nb' has a ',', a space or an unprintable character"),
     ("gate-id-twice", doc([NOT_A, gate(9, "not", [0], 3)]), "NetlistJsonError",
      "duplicate gate id"),
     # add_gates

@@ -1,12 +1,12 @@
-"""The values the CLI keeps per process: one netlist per catalog circuit and
-per quaternary view, a truth table of each, the CSV, default-voltage CSV and
-VCD texts of one sweep, one VerifyResult and one default-cost Metrics per
-circuit, one set of audit rows. A voltage map's texts are rendered per call.
+"""The values the CLI keeps per process, each immutable: a truth table of
+each catalog circuit as built and of its quaternary view, the text `table`
+prints for each, the CSV, default-voltage CSV and VCD texts of one sweep, one
+VerifyResult and one default-cost Metrics per circuit, one set of audit rows.
+No netlist is kept. A voltage map's texts are rendered per call.
 
-No command may change a kept netlist, the public builders must keep
-returning new ones, a cold call must print what a warm one prints, and a
-replaced REGISTRY entry or published table must be read at once and then
-dropped.
+No command may change a kept value, the public builders must keep returning
+new netlists, a cold call must print what a warm one prints, and a replaced
+REGISTRY entry or published table must be read at once and then dropped.
 """
 
 import dataclasses
@@ -18,10 +18,10 @@ import pytest
 from test_cli import AUDIT_STDOUT, PARSER_CORPUS, _fresh_import, _published_row, run_cli
 from test_readme import _m1_pla
 
-from mvq import circuits, minimizer, sim
-from mvq.circuits import CIRCUIT_IDS, REGISTRY, circuit_metrics, quat_view, verify
+from mvq import circuits, cli, minimizer, sim
+from mvq.circuits import CIRCUIT_IDS, REGISTRY, VerifyResult, circuit_metrics, quat_view, verify
 from mvq.cli import main
-from mvq.netlist import GateKind, Netlist, SignalType
+from mvq.netlist import GateKind, Metrics, Netlist, SignalType, TruthTable
 
 B = SignalType.BIN
 
@@ -42,40 +42,51 @@ def _forget_kept():
     minimizer._AUDITED = None
 
 
-def _shape(nl):
-    """What a command could change: ports, gates, output nets, the JSON
-    document and the compiled cone."""
-    outs = [nl.output_net(name) for name, _ in nl.output_ports]
-    return nl.input_ports, nl.output_ports, nl.gates, outs, nl.to_json(), nl._cone
-
-
 def _fresh(cid, view):
     nl = quat_view(cid) if view else REGISTRY[cid].build()
     nl.validate()
     return nl
 
 
-SHARED = [(cid, view) for cid in CIRCUIT_IDS for view in (False, True)]
+def _ports(nl):
+    return nl.input_ports, nl.output_ports
 
 
-def test_no_command_changes_a_kept_netlist(capsys, tmp_path, monkeypatch):
-    (tmp_path / "m1.pla").write_text(_m1_pla())
-    monkeypatch.chdir(tmp_path)
-    kept = {key: circuits._shared(*key) for key in SHARED}
-    for argv in PARSER_CORPUS + FIXED:
+TABLES = [(cid, view) for cid in CIRCUIT_IDS for view in (False, True)]
+
+
+def _run_all(argvs, monkeypatch, capsys):
+    for argv in argvs:
         monkeypatch.setattr(sys, "stdin", io.StringIO(_m1_pla()))
         main(list(argv))
         capsys.readouterr()
-    for key in SHARED:
-        assert circuits._shared(*key) is kept[key], key
-        assert _shape(kept[key]) == _shape(_fresh(*key)), key
+
+
+def _immutable(value):
+    return isinstance(value, (TruthTable, VerifyResult, Metrics, str)) or (
+        type(value) is tuple and all(type(v) is str for v in value)
+    )
+
+
+def test_no_command_changes_a_kept_value(capsys, tmp_path, monkeypatch):
+    (tmp_path / "m1.pla").write_text(_m1_pla())
+    monkeypatch.chdir(tmp_path)
+    kept = {key: circuits._table(*key) for key in TABLES}
+    _run_all(PARSER_CORPUS + FIXED, monkeypatch, capsys)
+    for key in TABLES:
+        assert circuits._table(*key) is kept[key], key
+        assert kept[key] == _fresh(*key).truth_table(), key
+    values = [v for _, by_key in circuits._KEPT.values() for v in by_key.values()]
+    assert len(values) == 7 * len(CIRCUIT_IDS)  # 2 tables, 2 table texts, sim, verify, metrics
+    assert not any(isinstance(v, Netlist) for v in values)
+    assert all(map(_immutable, values)), [type(v) for v in values]
 
 
 def test_a_kept_value_is_made_once_and_a_view_is_its_own():
     for cid in CIRCUIT_IDS:
-        assert circuits._shared(cid) is circuits._shared(cid)
-        assert circuits._shared(cid, view=True) is circuits._shared(cid, view=True)
-        assert circuits._shared(cid, view=True) is not circuits._shared(cid)
+        assert circuits._table(cid) is circuits._table(cid)
+        assert circuits._table(cid, view=True) is circuits._table(cid, view=True)
+        assert circuits._table(cid, view=True) is not circuits._table(cid)
         assert verify(cid) is verify(cid)
     assert circuits.verify_all() == tuple(verify(cid) for cid in CIRCUIT_IDS)
     assert minimizer.audit_published_forms() is minimizer.audit_published_forms()
@@ -103,8 +114,6 @@ def test_the_public_builders_return_a_new_netlist_on_every_call():
         info = REGISTRY[cid]
         assert info.build() is not info.build()
         assert quat_view(cid) is not quat_view(cid)
-        assert quat_view(cid) is not circuits._shared(cid, view=True)
-        assert info.build() is not circuits._shared(cid)
 
 
 def test_changing_a_returned_netlist_changes_no_command(capsys):
@@ -150,14 +159,12 @@ def test_each_table_and_trace_is_evaluated_once(capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(
             sim, name, lambda *args, calls=calls, export=export: calls.append(args) or export(*args)
         )
-    for argv in PARSER_CORPUS + FIXED + FIXED:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(_m1_pla()))
-        main(list(argv))
-        capsys.readouterr()
-    kept = [circuits._shared(*key) for key in SHARED]
-    assert sorted(map(id, tabled)) == sorted(map(id, kept))
-    assert sorted(map(id, swept)) == sorted(id(circuits._shared(cid)) for cid in CIRCUIT_IDS)
-    for cid, view in SHARED:
+    _run_all(PARSER_CORPUS + FIXED + FIXED, monkeypatch, capsys)
+    # once per (circuit, view) and per circuit, each on a netlist of its own
+    assert sorted(map(_ports, tabled)) == sorted(_ports(_fresh(*key)) for key in TABLES)
+    assert sorted(map(_ports, swept)) == sorted(_ports(_fresh(cid, False)) for cid in CIRCUIT_IDS)
+    assert len(set(map(id, tabled + swept))) == len(TABLES) + len(CIRCUIT_IDS)
+    for cid, view in TABLES:
         assert circuits._table(cid, view) is circuits._table(cid, view)
         assert circuits._table(cid, view) == _fresh(cid, view).truth_table()
     # each export renders each circuit's one trace once, voltages by default
@@ -165,6 +172,34 @@ def test_each_table_and_trace_is_evaluated_once(capsys, tmp_path, monkeypatch):
         assert sorted(id(args[0]) for args in calls) == sorted(map(id, traces)), name
         assert all(args[1:] in ((), (None,)) for args in calls), name
     assert circuits._sim_texts("mod4-add") is circuits._sim_texts("mod4-add")
+
+
+def test_each_table_text_is_rendered_once(capsys, tmp_path, monkeypatch):
+    (tmp_path / "m1.pla").write_text(_m1_pla())
+    monkeypatch.chdir(tmp_path)
+    _forget_kept()
+    rendered = []
+    format_columns = cli._format_columns
+
+    def columns(headers, rows):
+        text = format_columns(headers, rows)
+        if headers[0] != "op":  # not the audit's table
+            rendered.append(text)
+        return text
+
+    class Grid(str):
+        def __mod__(self, levels):
+            rendered.append(str.__mod__(self, levels))
+            return rendered[-1]
+
+    monkeypatch.setattr(cli, "_format_columns", columns)
+    monkeypatch.setattr(cli, "_GRID", Grid(cli._GRID))
+    _run_all(PARSER_CORPUS + FIXED + FIXED, monkeypatch, capsys)
+    printed = [
+        run_cli(capsys, "table", cid, *flags)[1]
+        for cid in CIRCUIT_IDS for flags in ([], ["--bits"])
+    ]
+    assert sorted(text + "\n" for text in rendered) == sorted(printed)
 
 
 def _mod4_mul_view():

@@ -143,6 +143,21 @@ def test_trace_rectangular_check():
         Trace((("a", B),), ((0, 1),))
 
 
+@pytest.mark.parametrize("name", ["a,b", "c d", "y\nz"])
+def test_trace_refuses_a_name_its_exports_cannot_carry(name):
+    with pytest.raises(ValueError) as exc:
+        Trace((("a", B), (name, B)), ((0, 1),))
+    assert str(exc.value).startswith(f"port name {name!r} has")
+
+
+def test_a_trace_of_unusual_names_reads_back():
+    n = Netlist([("x[0]", B), ("é.b", B)], [("~y", B)])
+    n.connect_output("~y", n.add_gate(GateKind.AND2, [0, 1]))
+    trace = run(n, sweep_all(n))
+    types = dict(trace.signals)
+    assert parse_csv(export_csv(trace), types) == trace
+
+
 BAD_TRACES = [
     ((("a", B), ("q", Q)), ((7, 9), (0, -1), (True, 2))),
     ((("a", B),), ((2,),)),

@@ -4,9 +4,12 @@
 
 Runs `mvq.cli.main` in this process on every subcommand, under
 `sys.setprofile`: the README's examples, `sim --volts`, a five-variable PLA
-whose minimum reaches the XOR recognizer's pairwise pass, and a `--config`
-file with a cost table, a voltage map and an output directory. All files are
-written in a temporary directory, and the commands' stdout is discarded. It
+whose minimum reaches the XOR recognizer's pairwise pass, a `--config` file
+with a cost table, a voltage map and an output directory, and three command
+lines that exit 2 (an unknown circuit, an unknown subcommand and a PLA
+without `.e`). Each command must exit with its own code. All files are
+written in a temporary directory, and the commands' stdout and stderr are
+discarded. It
 prints each function defined under src/mvq that none of those calls entered,
 as `path:line qualified.name (lines)`, then a total. What it lists is either
 library API that no command reaches or code to delete; the audit is not a
@@ -32,6 +35,7 @@ SRC = ROOT / "src" / "mvq"
 PLAS = {
     "m1.pla": ".i 4\n.o 1\n.ilb x1 x2 y1 y2\n10-1 1\n1-01 1\n011- 1\n-110 1\n.e\n",
     "m5.pla": ".i 5\n.o 1\n110-- 1\n101-- 1\n---11 1\n.e\n",
+    "open.pla": ".i 2\n.o 1\n11 1\n",
 }
 CONFIG = {
     "costs.json": (
@@ -42,21 +46,25 @@ CONFIG = {
     "volts.json": '{"quat": [0.0, 1.1, 2.2, 3.3], "bin": [0.0, 3.3]}\n',
     "mvq.cfg": "cost_table=costs.json\nvoltage_map=volts.json\nout_dir=traces\n",
 }
+# each command line with the exit code it must give
 CALLS = [
-    ["table", "mod4-mul"],
-    ["table", "mod4-mul", "--bits"],
-    ["verify", "all"],
-    ["metrics", "gf4-mul-mux"],
-    ["metrics", "all"],
-    ["minimize", "m1.pla", "--xor"],
-    ["minimize", "m5.pla", "--xor"],
-    ["audit"],
-    ["sim", "q2b", "--csv", "-"],
-    ["sim", "q2b", "--csv", "q2b.csv", "--vcd", "q2b.vcd"],
-    ["sim", "gf4-mul-mux", "--csv", "-", "--volts"],
-    ["compare", "gf4-mul-mux", "gf4-mul-sop"],
-    ["metrics", "all", "--config", "mvq.cfg"],
-    ["sim", "mod4-add", "--csv", "add.csv", "--vcd", "-", "--volts", "--config", "mvq.cfg"],
+    (["table", "mod4-mul"], 0),
+    (["table", "mod4-mul", "--bits"], 0),
+    (["verify", "all"], 0),
+    (["metrics", "gf4-mul-mux"], 0),
+    (["metrics", "all"], 0),
+    (["minimize", "m1.pla", "--xor"], 0),
+    (["minimize", "m5.pla", "--xor"], 0),
+    (["audit"], 0),
+    (["sim", "q2b", "--csv", "-"], 0),
+    (["sim", "q2b", "--csv", "q2b.csv", "--vcd", "q2b.vcd"], 0),
+    (["sim", "gf4-mul-mux", "--csv", "-", "--volts"], 0),
+    (["compare", "gf4-mul-mux", "gf4-mul-sop"], 0),
+    (["metrics", "all", "--config", "mvq.cfg"], 0),
+    (["sim", "mod4-add", "--csv", "add.csv", "--vcd", "-", "--volts", "--config", "mvq.cfg"], 0),
+    (["table", "nosuch"], 2),
+    (["frobnicate"], 2),
+    (["minimize", "open.pla"], 2),
 ]
 
 
@@ -101,11 +109,12 @@ def called() -> set[tuple[str, int]]:
         try:
             from mvq import cli
 
-            for argv in CALLS:
-                with contextlib.redirect_stdout(io.StringIO()):
+            for argv, want in CALLS:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
                     code = cli.main(argv)
-                if code != 0:
-                    sys.exit(f"mvq {' '.join(argv)} exited {code}")
+                if code != want:
+                    sys.exit(f"mvq {' '.join(argv)} exited {code}, not {want}")
         finally:
             sys.setprofile(None)
             os.chdir(home)
