@@ -18,10 +18,10 @@ paper's Q->B, binary core, B->Q composition.
 Every builder and `quat_view` returns a new netlist on each call, which the
 caller may change. No netlist is kept: the CLI, `verify`, `verify_all` and
 `circuit_metrics` read immutable values kept per circuit (`_kept`), each made
-on first use from a netlist built for it and then dropped. They are the
-truth tables of the circuit as built and of its quaternary view (`_table`),
-the CSV, default-voltage CSV and VCD texts of the built circuit's sweep
-(`_sim_texts`, rendered from one `sim.run` over `sweep_all`), `verify`'s
+on first use. They are the truth tables of the circuit as built and of its
+quaternary view (`_table`), each evaluated once from a netlist built for it
+and then dropped, the CSV, default-voltage CSV and VCD texts of the built
+circuit's sweep (`_sim_texts`, rendered from the kept table), `verify`'s
 `VerifyResult`, read from the kept table, `circuit_metrics`' `Metrics` for
 the default costs, and the texts `table` prints. A cost table's totals, like
 a voltage map's texts, are computed on each call. The values kept for a
@@ -328,18 +328,18 @@ def _table(cid: str, view: bool = False) -> TruthTable:
 
 def _sim_texts(cid: str, vmap: VoltageMap | None = None) -> tuple[str, str, str]:
     """The CSV, voltage CSV and VCD texts of the exhaustive sweep of the
-    circuit as built; for the default voltages, once per REGISTRY entry.
-    `sim` loads on the first call."""
+    circuit as built, rendered from the kept table; for the default voltages,
+    once per REGISTRY entry. `sim` loads on the first call."""
     if vmap is None:
-        return _kept(cid, "sim", lambda info: _render(info, None))
-    return _render(get_info(cid), vmap)
+        return _kept(cid, "sim", lambda info: _render(info.cid, None))
+    return _render(cid, vmap)
 
 
-def _render(info: CircuitInfo, vmap: VoltageMap | None) -> tuple[str, str, str]:
+def _render(cid: str, vmap: VoltageMap | None) -> tuple[str, str, str]:
     from . import sim  # its names read per call, so a patched one is the one that runs
 
-    nl = info.build()
-    trace = sim.run(nl, sim.sweep_all(nl))
+    tt = _table(cid)
+    trace = sim.Trace._of_columns(tt.inputs + tt.outputs, tt.columns, len(tt.rows))
     return sim.export_csv(trace), sim.voltage_view(trace, vmap), sim.export_vcd(trace)
 
 

@@ -4,7 +4,7 @@ simulation, and circuit comparison over the registry.
 Exit codes: 0 success/equal/verified; 1 verification, audit, or comparison
 failure; 2 usage, config, or parse error, including input that is not UTF-8,
 a path the OS rejects and output stdout cannot encode; 3 I/O error, including
-a reader that closes stdout early.
+a stdout that fails, such as a full disk or a reader that closed it early.
 
 Subcommands return 0 or 1 and raise for any other outcome; `main` alone
 prints a failure and picks exit code 2 or 3. Every file is read through
@@ -20,12 +20,13 @@ calls reuse that parser. Nothing is built or evaluated at import either,
 and no netlist is kept. Each command prints values made on first use and
 never changed: `table` its one text per circuit and per --bits (`_GRID` or
 `_format_columns` over `circuits._table`, which `compare` reads too), `sim`
-its one CSV, voltage CSV and VCD text per circuit (`circuits._sim_texts`; a
-`voltage_map` config renders them anew), `verify` its one `VerifyResult`,
-`metrics` its one default-cost `Metrics` per circuit and `audit` its one
-set of rows. The module `__getattr__` still serves the names this module
-once imported from `minimizer` and `sim`, and `quat_view` stays imported,
-because `perfbench/spans.py` reads and patches them here.
+its one CSV, voltage CSV and VCD text per circuit, rendered from the kept
+table (`circuits._sim_texts`; a `voltage_map` config renders them anew
+from it), `verify` its one `VerifyResult`, `metrics` its one default-cost
+`Metrics` per circuit and `audit` its one set of rows. The module
+`__getattr__` still serves the names this module once imported from
+`minimizer` and `sim`, and `quat_view` stays imported, because
+`perfbench/spans.py` reads and patches them here.
 
 Parsing: `main` reads a plain command line itself (`_plain_args`): an exact
 subcommand name, then exactly its positional arguments, then its exact
@@ -367,13 +368,9 @@ def cmd_compare(args: Args, cfg: Config) -> int:
     info_a, info_b = _resolve(args.a), _resolve(args.b)
     ta, tb = _table(info_a.cid, view=True), _table(info_b.cid, view=True)
     if ta.inputs != tb.inputs or ta.outputs != tb.outputs:
-        raise CliError(
-            f"port shapes differ: {info_a.cid} is "
-            f"{[n for n, _ in ta.inputs]} -> "
-            f"{[n for n, _ in ta.outputs]}, {info_b.cid} is "
-            f"{[n for n, _ in tb.inputs]} -> "
-            f"{[n for n, _ in tb.outputs]}"
-        )
+        shapes = [f"{cid} is {[n for n, _ in t.inputs]} -> {[n for n, _ in t.outputs]}"
+                  for cid, t in ((info_a.cid, ta), (info_b.cid, tb))]
+        raise CliError("port shapes differ: " + ", ".join(shapes))
     for (ins, outs_a), (_, outs_b) in zip(ta.rows, tb.rows):
         if outs_a != outs_b:
             where = " ".join(
@@ -488,9 +485,11 @@ def main(argv: list[str] | None = None) -> int:
         # looked up per call, so that a patched cmd_<name> is the one that runs
         code = globals()[f"cmd_{args.command}"](args, load_config(args.config))
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early; send what is still buffered to
-        # devnull so that the flush at interpreter exit cannot raise again
+    except OSError as exc:  # stdout's: _read_text and _write_text raise CliError
+        # a reader that closed stdout early needs no word; send what is still
+        # buffered to devnull so that the flush at interpreter exit cannot raise
+        if not isinstance(exc, BrokenPipeError):
+            print(f"cannot write -: {exc}", file=sys.stderr)
         try:
             fd = sys.stdout.fileno()
         except io.UnsupportedOperation:

@@ -270,7 +270,9 @@ def _level_column(values: Iterable[int], sig: SignalType, what: str) -> bytes:
 
 def _check_port_name(name: str, error: type[Exception]) -> None:
     """Raise error for a name that a CSV header or a VCD $var line cannot carry
-    and read back: one with a ',', a space or a character not isprintable."""
+    and read back: "", or one with a ',', a space or a character not isprintable."""
+    if not name:
+        raise error("port name '' is empty")
     if "," in name or " " in name or not name.isprintable():
         raise error(f"port name {name!r} has a ',', a space or an unprintable character")
 
@@ -715,12 +717,10 @@ def from_json(text: str) -> Netlist:
     except (ValueError, RecursionError) as exc:  # JSONDecodeError included
         raise NetlistJsonError(f"bad JSON: {exc}") from exc
     try:
-        inputs = [
-            (_json_name(p["name"]), SignalType(p["type"])) for p in doc["inputs"]
-        ]
-        outputs = [
-            (_json_name(p["name"]), SignalType(p["type"])) for p in doc["outputs"]
-        ]
+        inputs, outputs = (
+            [(_json_name(p["name"]), SignalType(p["type"])) for p in doc[side]]
+            for side in ("inputs", "outputs")
+        )
         columns = _read_gates(doc["gates"])
         out_nets = {
             p["name"]: None if p["net"] is None else _json_id(p["net"])

@@ -272,8 +272,8 @@ def parse_csv(text: str, types: Mapping[str, SignalType]) -> Trace:
     header = lines[0].split(",")
     if header[0] != "time":
         raise ValueError("first column must be time")
-    # no signals export as "time," and rows "0,": one signal "" only if typed
-    blank = header == ["time", ""] and "" not in types
+    # no signals export as "time," and rows "0,"
+    blank = header == ["time", ""]
     names = [] if blank else header[1:]
     if len(set(names)) != len(names):
         raise ValueError(f"repeated column name in {lines[0]!r}")

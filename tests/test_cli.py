@@ -915,13 +915,26 @@ class _ClosedPipe(io.StringIO):
         raise BrokenPipeError(32, "Broken pipe")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["metrics", "all"], ["verify", "all"], ["audit"], ["table", "mod4-add"]],
-)
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+STDOUT_ARGVS = [["metrics", "all"], ["verify", "all"], ["audit"], ["table", "mod4-add"]]
+
+
+@pytest.mark.parametrize("argv", STDOUT_ARGVS)
 def test_broken_pipe_exits_io_without_traceback(capsys, monkeypatch, argv):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     assert main(argv) == 3
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", STDOUT_ARGVS + [["sim", "q2b"]])
+def test_full_stdout_exits_io_with_one_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _FullDisk())
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "cannot write -: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize(
@@ -954,6 +967,22 @@ def test_broken_pipe_subprocess(argv, buffered):
         os.close(write_end)
     assert proc.returncode == 3
     assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [["verify", "all"], ["sim", "q2b"]])
+def test_full_stdout_subprocess(argv):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvq.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert proc.returncode == 3
+    assert proc.stderr == "cannot write -: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize("xor", [[], ["--xor"]], ids=["sop", "xor"])

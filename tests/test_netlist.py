@@ -75,9 +75,17 @@ def test_a_port_name_a_trace_cannot_carry_is_rejected(name):
             Netlist(*ports)
 
 
+def test_the_empty_port_name_is_rejected():
+    # a VCD $var line would have no reference, and a CSV header "time,"
+    # reads as no signals
+    for ports in (([("", B)], [("y", B)]), ([("x", B)], [("", B)])):
+        with pytest.raises(nl.NetlistError, match="^port name '' is empty$"):
+            Netlist(*ports)
+
+
 def test_other_port_names_are_kept():
-    n = Netlist([("", B), ("x[0]", B), ("é.b", Q)], [("~y", B)])
-    assert [name for name, _ in n.input_ports] == ["", "x[0]", "é.b"]
+    n = Netlist([("x", B), ("x[0]", B), ("é.b", Q)], [("~y", B)])
+    assert [name for name, _ in n.input_ports] == ["x", "x[0]", "é.b"]
 
 
 def test_constant_only_shell_is_legal():

@@ -95,6 +95,8 @@ DOCUMENTS = [
     ("port-twice", doc([NOT_A], outputs=[("a", "bin", 2)]), "DuplicatePortName", "a"),
     ("port-name-comma", doc([NOT_A], outputs=[("y,z", "bin", 2)]), "NetlistError",
      "port name 'y,z' has a ',', a space or an unprintable character"),
+    ("port-name-empty", doc([NOT_A], outputs=[("", "bin", 2)]), "NetlistError",
+     "port name '' is empty"),
     ("port-name-newline", doc([NOT_A], inputs=[{"name": "a\nb", "type": "bin"}]),
      "NetlistError", "port name 'a\\nb' has a ',', a space or an unprintable character"),
     ("gate-id-twice", doc([NOT_A, gate(9, "not", [0], 3)]), "NetlistJsonError",

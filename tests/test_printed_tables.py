@@ -74,10 +74,10 @@ def test_the_grid_is_printed_for_the_two_operand_circuits():
 
 
 def _odd_ports():
-    # port names of widths 0, 8 and 1: an empty name is padded to one column
-    n = Netlist([("", B), ("carry_in", Q)], [("s", Q), ("c", B)])
+    # port names of widths 1, 8 and 1: a cell under a wide name is padded to it
+    n = Netlist([("k", B), ("carry_in", Q)], [("s", Q), ("c", B)])
     n.connect_output("s", n.input_net("carry_in"))
-    n.connect_output("c", n.input_net(""))
+    n.connect_output("c", n.input_net("k"))
     return n
 
 
@@ -87,7 +87,7 @@ def test_table_pads_columns_as_format_columns_does(capsys, monkeypatch, bits):
     argv = ["table", "b2q"] + ["--bits"] * bits
     code, out, _ = run_cli(capsys, *argv)
     assert (code, out) == (0, _table_text("b2q", bits))
-    assert out.splitlines()[:3] == ["  carry_in s c", "0 0        0 0", "0 1        1 0"]
+    assert out.splitlines()[:3] == ["k carry_in s c", "0 0        0 0", "0 1        1 0"]
 
 
 @pytest.mark.parametrize("a", CIRCUIT_IDS)

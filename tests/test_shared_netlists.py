@@ -1,8 +1,9 @@
 """The values the CLI keeps per process, each immutable: a truth table of
 each catalog circuit as built and of its quaternary view, the text `table`
-prints for each, the CSV, default-voltage CSV and VCD texts of one sweep, one
-VerifyResult and one default-cost Metrics per circuit, one set of audit rows.
-No netlist is kept. A voltage map's texts are rendered per call.
+prints for each, the CSV, default-voltage CSV and VCD texts of its sweep,
+rendered from the kept table as built, one VerifyResult and one default-cost
+Metrics per circuit, one set of audit rows. No netlist is kept, and no sweep
+is evaluated. A voltage map's texts are rendered per call.
 
 No command may change a kept value, the public builders must keep returning
 new netlists, a cold call must print what a warm one prints, and a replaced
@@ -143,16 +144,10 @@ def test_each_table_and_trace_is_evaluated_once(capsys, tmp_path, monkeypatch):
     (tmp_path / "m1.pla").write_text(_m1_pla())
     monkeypatch.chdir(tmp_path)
     _forget_kept()
-    tabled, swept, traces = [], [], []
+    tabled, swept = [], []
     truth_table, run = Netlist.truth_table, sim.run
     monkeypatch.setattr(Netlist, "truth_table", lambda nl: tabled.append(nl) or truth_table(nl))
-
-    def sweep(nl, stim):
-        swept.append(nl)
-        traces.append(run(nl, stim))
-        return traces[-1]
-
-    monkeypatch.setattr(sim, "run", sweep)
+    monkeypatch.setattr(sim, "run", lambda nl, stim: swept.append(nl) or run(nl, stim))
     rendered = {name: [] for name in ("export_csv", "voltage_view", "export_vcd")}
     for name, calls in rendered.items():
         export = getattr(sim, name)
@@ -160,17 +155,23 @@ def test_each_table_and_trace_is_evaluated_once(capsys, tmp_path, monkeypatch):
             sim, name, lambda *args, calls=calls, export=export: calls.append(args) or export(*args)
         )
     _run_all(PARSER_CORPUS + FIXED + FIXED, monkeypatch, capsys)
-    # once per (circuit, view) and per circuit, each on a netlist of its own
+    # once per (circuit, view), each on a netlist of its own; no sweep runs,
+    # because the sweep of a circuit as built is its kept table
     assert sorted(map(_ports, tabled)) == sorted(_ports(_fresh(*key)) for key in TABLES)
-    assert sorted(map(_ports, swept)) == sorted(_ports(_fresh(cid, False)) for cid in CIRCUIT_IDS)
-    assert len(set(map(id, tabled + swept))) == len(TABLES) + len(CIRCUIT_IDS)
+    assert len(set(map(id, tabled))) == len(TABLES)
+    assert swept == []
     for cid, view in TABLES:
         assert circuits._table(cid, view) is circuits._table(cid, view)
         assert circuits._table(cid, view) == _fresh(cid, view).truth_table()
-    # each export renders each circuit's one trace once, voltages by default
+    # each export renders a trace of each circuit's kept table once, voltages
+    # by default
+    kept = {id(circuits._table(cid).columns): circuits._table(cid) for cid in CIRCUIT_IDS}
     for name, calls in rendered.items():
-        assert sorted(id(args[0]) for args in calls) == sorted(map(id, traces)), name
-        assert all(args[1:] in ((), (None,)) for args in calls), name
+        assert sorted(id(args[0].columns) for args in calls) == sorted(kept), name
+        for trace, *rest in calls:
+            tt = kept[id(trace.columns)]
+            assert (trace.signals, trace.n_steps) == (tt.inputs + tt.outputs, len(tt.rows)), name
+            assert rest in ([], [None]), name
     assert circuits._sim_texts("mod4-add") is circuits._sim_texts("mod4-add")
 
 
